@@ -1,27 +1,19 @@
 """The bench harness: seeded, warmup+repeat, median-of-N, paired.
 
-Every case runs twice — a **fast** mode and a **reference** mode,
-selected by the *pair* axis — and must produce byte-identical result
-digests in both modes and across every repetition: a speedup claim is
-only meaningful if the optimisation is provably behaviour-preserving.
+Every case runs twice — a **fast** mode through the batched admission
+pass and a **reference** mode through the scalar pass — and must
+produce byte-identical result digests in both modes and across every
+repetition: a speedup claim is only meaningful if the optimisation is
+provably behaviour-preserving.
 
-Two pairs exist, one per committed fast path:
-
-* ``"batch"`` (default) — batched kernel on vs off
-  (``REPRO_BATCH_KERNEL=off``), occupancy index on in **both** modes,
-  so the ratio isolates the vectorised admission/station path added
-  on top of the index.
-* ``"occ-index"`` — occupancy index on vs the legacy linear scans
-  (``REPRO_OCC_INDEX=off``), batched kernel off in **both** modes,
-  preserving the original hot-path pairing.
-
+Each repetition rebuilds its workload from scratch (setup time is not
+measured).  The case's ``prepare`` hands back the policies it built,
+and the harness switches each one to the scalar pass
+(:meth:`~repro.core.scheduler.StaggeredStripingPolicy.
+use_scalar_admission`) for the reference mode, so both modes run
+policies built the same way and nothing outside the case changes.
 Timings are wall-clock medians over ``repeats`` runs after ``warmup``
-discarded runs; each repetition rebuilds its workload from scratch
-(setup time is not measured).  Both switches are patched at their
-module seams (:func:`repro.core.virtual_disks.occupancy_index_enabled`,
-:func:`repro.fastpath.batch_kernel_enabled`) rather than through the
-process environment, so a crashed run cannot leak mode into the
-caller.
+discarded runs.
 """
 
 from __future__ import annotations
@@ -32,20 +24,15 @@ import platform
 from dataclasses import dataclass, field
 from statistics import median
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import fastpath
-from repro.core import virtual_disks
 from repro.errors import ReproError
 
 #: Bench JSON schema identifier; bump on incompatible layout changes.
-#: ``repro-bench/2`` added the pair axis (``occ-index`` | ``batch``)
-#: and renamed the per-case rows ``indexed``/``legacy`` to
-#: ``fast``/``reference``.
-SCHEMA = "repro-bench/2"
-
-#: The valid pair axes.
-PAIRS = ("batch", "occ-index")
+#: ``repro-bench/3`` dropped the pair axis (one pairing remains:
+#: batched vs scalar admission pass); ``repro-bench/2`` had renamed the
+#: per-case rows ``indexed``/``legacy`` to ``fast``/``reference``.
+SCHEMA = "repro-bench/3"
 
 
 class BenchError(ReproError):
@@ -58,14 +45,14 @@ class BenchError(ReproError):
 class BenchCase:
     """One benchmark case.
 
-    ``prepare`` does the untimed setup (engine build, pool seeding) and
-    returns the timed thunk; the thunk returns a JSON-able payload that
-    must be identical across modes and repetitions (it is digested, not
-    stored).
+    ``prepare`` does the untimed setup (engine build) and returns the
+    timed thunk plus the policies it built; the thunk returns a
+    JSON-able payload that must be identical across modes and
+    repetitions (it is digested, not stored).
     """
 
     name: str
-    prepare: Callable[[], Callable[[], Any]]
+    prepare: Callable[[], Tuple[Callable[[], Any], Sequence[Any]]]
     params: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -74,52 +61,31 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def pair_flags(pair: str, fast: bool) -> Tuple[bool, bool]:
-    """The ``(occupancy_index, batch_kernel)`` switch settings for one
-    side of ``pair``."""
-    if pair == "batch":
-        return True, fast
-    if pair == "occ-index":
-        return fast, False
-    raise BenchError(f"unknown bench pair {pair!r}; expected one of {PAIRS}")
-
-
 def _run_mode(
-    case: BenchCase, pair: str, fast: bool, warmup: int, repeats: int
+    case: BenchCase, fast: bool, warmup: int, repeats: int
 ) -> Dict[str, Any]:
     """Run one case in one mode; returns times + the result digest."""
-    occ_index, batch = pair_flags(pair, fast)
     times: List[float] = []
     digest: Optional[str] = None
-    original_occ = virtual_disks.occupancy_index_enabled
-    original_batch = fastpath.batch_kernel_enabled
-    virtual_disks.occupancy_index_enabled = lambda: occ_index
-    fastpath.batch_kernel_enabled = (
-        (lambda: batch and fastpath.numpy_available())
-        if batch
-        else (lambda: False)
-    )
-    try:
-        for i in range(warmup + repeats):
-            thunk = case.prepare()
-            t0 = perf_counter()
-            payload = thunk()
-            elapsed = perf_counter() - t0
-            d = _digest(payload)
-            if digest is None:
-                digest = d
-            elif d != digest:
-                raise BenchError(
-                    f"case {case.name!r} is nondeterministic in "
-                    f"{'fast' if fast else 'reference'} mode of pair "
-                    f"{pair!r}: repetition {i} digest {d[:12]} != "
-                    f"{digest[:12]}"
-                )
-            if i >= warmup:
-                times.append(elapsed)
-    finally:
-        virtual_disks.occupancy_index_enabled = original_occ
-        fastpath.batch_kernel_enabled = original_batch
+    for i in range(warmup + repeats):
+        thunk, policies = case.prepare()
+        if not fast:
+            for policy in policies:
+                policy.use_scalar_admission()
+        t0 = perf_counter()
+        payload = thunk()
+        elapsed = perf_counter() - t0
+        d = _digest(payload)
+        if digest is None:
+            digest = d
+        elif d != digest:
+            raise BenchError(
+                f"case {case.name!r} is nondeterministic in "
+                f"{'fast' if fast else 'reference'} mode: repetition {i} "
+                f"digest {d[:12]} != {digest[:12]}"
+            )
+        if i >= warmup:
+            times.append(elapsed)
     return {
         "median_s": round(median(times), 6),
         "times_s": [round(t, 6) for t in times],
@@ -131,23 +97,21 @@ def run_suite(
     suite: str,
     cases: List[BenchCase],
     *,
-    pair: str = "batch",
     quick: bool = False,
     warmup: int = 1,
     repeats: int = 3,
 ) -> Dict[str, Any]:
     """Run every case fast and reference; returns the bench document."""
-    pair_flags(pair, True)  # validate the pair name up front
     rows: List[Dict[str, Any]] = []
     for case in cases:
-        fast = _run_mode(case, pair, True, warmup, repeats)
-        reference = _run_mode(case, pair, False, warmup, repeats)
+        fast = _run_mode(case, True, warmup, repeats)
+        reference = _run_mode(case, False, warmup, repeats)
         identical = fast["digest"] == reference["digest"]
         if not identical:
             raise BenchError(
                 f"case {case.name!r}: fast and reference runs diverged "
                 f"({fast['digest'][:12]} != {reference['digest'][:12]}) — "
-                f"the {pair} fast path changed simulation output"
+                f"the batched admission pass changed simulation output"
             )
         speedup = (
             reference["median_s"] / fast["median_s"]
@@ -167,12 +131,10 @@ def run_suite(
     return {
         "schema": SCHEMA,
         "suite": suite,
-        "pair": pair,
         "quick": quick,
         "warmup": warmup,
         "repeats": repeats,
         "python": platform.python_version(),
-        "numpy": fastpath.numpy_available(),
         "cases": rows,
     }
 
@@ -184,11 +146,6 @@ def validate_document(doc: Any) -> None:
         raise BenchError(
             f"malformed bench JSON: expected schema {SCHEMA!r}, got "
             f"{doc.get('schema') if isinstance(doc, dict) else type(doc).__name__!r}"
-        )
-    if doc.get("pair") not in PAIRS:
-        raise BenchError(
-            f"malformed bench JSON: pair must be one of {PAIRS}, got "
-            f"{doc.get('pair')!r}"
         )
     cases = doc.get("cases")
     if not isinstance(cases, list) or not cases:
@@ -221,11 +178,6 @@ def check_regression(
     """
     validate_document(current)
     validate_document(baseline)
-    if current.get("pair") != baseline.get("pair"):
-        return [
-            f"pair mismatch: current {current.get('pair')!r} vs baseline "
-            f"{baseline.get('pair')!r} — compare like with like"
-        ]
     failures: List[str] = []
     baseline_by_name = {row["name"]: row for row in baseline["cases"]}
     for row in current["cases"]:
@@ -245,10 +197,9 @@ def check_regression(
 def format_report(doc: Dict[str, Any]) -> str:
     """Human-readable table of one bench document."""
     lines = [
-        f"suite={doc['suite']} pair={doc.get('pair', 'batch')} "
-        f"quick={doc['quick']} warmup={doc['warmup']} "
-        f"repeats={doc['repeats']}",
-        f"{'case':<34} {'fast':>10} {'reference':>10} {'speedup':>8}",
+        f"suite={doc['suite']} quick={doc['quick']} "
+        f"warmup={doc['warmup']} repeats={doc['repeats']}",
+        f"{'case':<34} {'batched':>10} {'scalar':>10} {'speedup':>8}",
     ]
     for row in doc["cases"]:
         lines.append(

@@ -1,64 +1,49 @@
-"""The four bench suites: ``core``, ``admission``, ``sweep``,
-``batched``.
+"""The three bench suites: ``core``, ``sweep``, ``batched``.
 
 Every case is seeded and fully deterministic — the harness digests
-each repetition's payload and refuses nondeterminism — and every case
-is meaningful in both modes of both pair axes (the harness runs each
-case twice per pair and demands byte-identical payloads).
+each repetition's payload and refuses nondeterminism — and runs once
+through the batched admission pass and once through the scalar pass,
+on policies built the same way; the two must be byte-identical.
 
 * ``core`` — the per-interval simulation loop at the paper's scale
   (D = 1000): staggered striping near saturation, staggered at
   moderate load, and simple striping (contiguous admission).  This is
-  the suite the occupancy-index ≥1.5× and batched-kernel ≥5×
-  acceptance numbers and the CI regression guard are measured on.
-* ``admission`` — microbenchmarks of the slot pool and admitter
-  isolated from the engine: saturated fragmented claims (the
-  ``has_free_halves`` fast-out), claim/release churn (index
-  maintenance), and contiguous window denials (the negative cache).
-* ``sweep`` — small end-to-end :func:`repro.simulation.run_experiment`
-  runs, catching whole-stack regressions the microbenchmarks miss.
+  the suite the batched-kernel acceptance numbers and the CI
+  regression guard are measured on.
+* ``sweep`` — a small grid of end-to-end runs at scale 50 (D = 20),
+  catching whole-stack regressions at a size where the per-pass numpy
+  overhead is not amortised (the batched pass can lose here).
 * ``batched`` — the batched kernel beyond paper scale: a first
   D = 10,000 staggered case (2,500 stations) plus a D = 2,000 simple
-  striping case; the quick variant runs D = 2,000 staggered.  Only
-  interesting under ``--pair batch``.
+  striping case; the quick variant runs D = 2,000 staggered.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.benchmarks.harness import BenchCase
-from repro.core.admission import AdmissionMode, Admitter
-from repro.core.display import Display
-from repro.core.virtual_disks import SlotPool
 from repro.errors import ReproError
-from repro.media.objects import MediaObject, MediaType
 
-SUITES = ("core", "admission", "sweep", "batched")
-
-_BENCH_TYPE = MediaType(name="bench-video", display_bandwidth=100.0)
-
-
-def _bench_object(object_id: int, degree: int, num_subobjects: int) -> MediaObject:
-    return MediaObject(
-        object_id=object_id,
-        media_type=_BENCH_TYPE,
-        num_subobjects=num_subobjects,
-        degree=degree,
-        fragment_size=180.0,
-    )
+SUITES = ("core", "sweep", "batched")
 
 
 # ----------------------------------------------------------------------
 # core: the per-interval engine loop
 # ----------------------------------------------------------------------
+def _build(params: Dict[str, Any]):
+    """``(engine, config)`` for ``ScaledConfig(**params)``; the thunk
+    runs the warmup and measurement window the config declares."""
+    from repro.simulation.config import ScaledConfig
+    from repro.simulation.runner import build_engine
+
+    config = ScaledConfig(**params)
+    return build_engine(config), config
+
+
 def _engine_case(name: str, **params: Any) -> BenchCase:
     def prepare():
-        from repro.simulation.config import ScaledConfig
-        from repro.simulation.runner import build_engine
-
-        config = ScaledConfig(**params)
-        engine = build_engine(config)
+        engine, config = _build(params)
 
         def thunk():
             result = engine.run(
@@ -66,7 +51,7 @@ def _engine_case(name: str, **params: Any) -> BenchCase:
             )
             return result.to_dict()
 
-        return thunk
+        return thunk, [engine.policy]
 
     return BenchCase(name=name, prepare=prepare, params=dict(params))
 
@@ -145,156 +130,6 @@ def _batched_cases(quick: bool) -> List[BenchCase]:
 
 
 # ----------------------------------------------------------------------
-# admission: pool + admitter microbenchmarks
-# ----------------------------------------------------------------------
-def _fragmented_saturated_case(quick: bool) -> BenchCase:
-    d = 100 if quick else 1000
-    queued = 40 if quick else 200
-    rounds = 100 if quick else 200
-
-    def prepare():
-        pool = SlotPool(num_disks=d, stride=1)
-        for z in range(d):
-            pool.claim(z, owner=("background", z))
-        admitter = Admitter(pool, mode=AdmissionMode.FRAGMENTED)
-        displays = [
-            Display(
-                display_id=i,
-                obj=_bench_object(i, degree=5, num_subobjects=60),
-                start_disk=(i * 7) % d,
-                requested_at=0,
-            )
-            for i in range(queued)
-        ]
-
-        def thunk():
-            complete = 0
-            for interval in range(rounds):
-                for display in displays:
-                    if admitter.try_claim(display, interval).complete:
-                        complete += 1
-            return {
-                "complete": complete,
-                "busy": pool.busy_count,
-                "lanes": admitter._n_lanes,
-            }
-
-        return thunk
-
-    return BenchCase(
-        name="fragmented_saturated",
-        prepare=prepare,
-        params={"num_disks": d, "queued": queued, "rounds": rounds},
-    )
-
-
-def _fragmented_churn_case(quick: bool) -> BenchCase:
-    d = 100 if quick else 1000
-    rounds = 120 if quick else 300
-    degree = 5
-
-    def prepare():
-        pool = SlotPool(num_disks=d, stride=1)
-        admitter = Admitter(pool, mode=AdmissionMode.FRAGMENTED)
-
-        def thunk():
-            live: List[Display] = []
-            seq = 0
-            admitted = 0
-            for interval in range(rounds):
-                # Retire the oldest display once the pool tightens, so
-                # claims and releases interleave and the index is
-                # exercised in both directions.
-                if len(live) * degree * 2 > d:
-                    oldest = live.pop(0)
-                    admitter.abort(oldest)
-                seq += 1
-                display = Display(
-                    display_id=seq,
-                    obj=_bench_object(seq, degree=degree, num_subobjects=40),
-                    start_disk=(seq * 13) % d,
-                    requested_at=interval,
-                )
-                live.append(display)
-                for candidate in live:
-                    plan = admitter.try_claim(candidate, interval)
-                    if plan.complete and candidate is display:
-                        admitted += 1
-            return {
-                "admitted": admitted,
-                "busy": pool.busy_count,
-                "free_slots": pool.free_slots(),
-            }
-
-        return thunk
-
-    return BenchCase(
-        name="fragmented_churn",
-        prepare=prepare,
-        params={"num_disks": d, "rounds": rounds, "degree": degree},
-    )
-
-
-def _contiguous_denied_case(quick: bool) -> BenchCase:
-    d = 100 if quick else 1000
-    degree = 5
-    # The rotation offset cycles with period D / gcd(D, stride); a short
-    # period means repeated (version, offset) pairs, which is what the
-    # denial-replay cache keys on.
-    stride = 10 if quick else 50
-    queued = 40 if quick else 200
-    rounds = 100 if quick else 200
-
-    def prepare():
-        pool = SlotPool(num_disks=d, stride=stride)
-        # One claimed half-slot every `degree` slots blocks every window
-        # of `degree` fully-free slots forever, so every probe denies.
-        for z in range(0, d, degree):
-            pool.claim(z, owner=("blocker", z), halves=1)
-        admitter = Admitter(pool, mode=AdmissionMode.CONTIGUOUS)
-        displays = [
-            Display(
-                display_id=i,
-                obj=_bench_object(i, degree=degree, num_subobjects=60),
-                start_disk=(i * 3) % d,
-                requested_at=0,
-            )
-            for i in range(queued)
-        ]
-
-        def thunk():
-            complete = 0
-            for interval in range(rounds):
-                for display in displays:
-                    if admitter.try_claim(display, interval).complete:
-                        complete += 1
-            return {
-                "complete": complete,
-                "busy": pool.busy_count,
-                "lanes": admitter._n_lanes,
-            }
-
-        return thunk
-
-    return BenchCase(
-        name="contiguous_denied",
-        prepare=prepare,
-        params={
-            "num_disks": d, "stride": stride, "degree": degree,
-            "queued": queued, "rounds": rounds,
-        },
-    )
-
-
-def _admission_cases(quick: bool) -> List[BenchCase]:
-    return [
-        _fragmented_saturated_case(quick),
-        _fragmented_churn_case(quick),
-        _contiguous_denied_case(quick),
-    ]
-
-
-# ----------------------------------------------------------------------
 # sweep: end-to-end small runs
 # ----------------------------------------------------------------------
 def _sweep_case(quick: bool) -> BenchCase:
@@ -309,17 +144,19 @@ def _sweep_case(quick: bool) -> BenchCase:
         ]
 
     def prepare():
-        from repro.simulation.config import ScaledConfig
-        from repro.simulation.runner import run_experiment
-
-        configs = [
-            ScaledConfig(scale=50, access_mean=0.2, **point) for point in grid
+        built = [
+            _build(dict(scale=50, access_mean=0.2, **point)) for point in grid
         ]
 
         def thunk():
-            return [run_experiment(config).to_dict() for config in configs]
+            return [
+                engine.run(
+                    config.warmup_intervals, config.measure_intervals
+                ).to_dict()
+                for engine, config in built
+            ]
 
-        return thunk
+        return thunk, [engine.policy for engine, _ in built]
 
     return BenchCase(
         name="small_grid",
@@ -332,8 +169,6 @@ def suite_cases(suite: str, quick: bool = False) -> List[BenchCase]:
     """The cases of one named suite."""
     if suite == "core":
         return _core_cases(quick)
-    if suite == "admission":
-        return _admission_cases(quick)
     if suite == "sweep":
         return [_sweep_case(quick)]
     if suite == "batched":

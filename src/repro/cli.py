@@ -10,9 +10,8 @@ Commands
 ``faults``        availability grid: MTTF sweep × technique × redundancy
 ``open-workload`` open-arrival grid: blocking probability and wait
                   percentiles vs offered load (docs/workloads.md)
-``bench``         paired hot-path microbenchmarks (``--pair batch``:
-                  batched kernel on vs off; ``--pair occ-index``:
-                  occupancy index on vs off; see docs/performance.md)
+``bench``         paired hot-path microbenchmarks: batched vs scalar
+                  admission pass (see docs/performance.md)
 ``sweep-status``  summarise the on-disk result cache (``--journal``:
                   list sweep journals; ``<sweep_id> --follow``: live
                   progress from the sweep's event stream; ``--json``:
@@ -52,7 +51,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import failpoints
 from repro.analysis.reporting import format_table
-from repro.benchmarks import PAIRS, SUITES
+from repro.benchmarks import SUITES
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
 from repro.exec import (
     ResultCache,
@@ -701,12 +700,11 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Run a microbenchmark suite paired fast-vs-reference.
+    """Run a microbenchmark suite paired batched-vs-scalar.
 
-    ``--pair batch`` (default) toggles the batched kernel (occupancy
-    index on in both modes); ``--pair occ-index`` toggles the occupancy
-    index (batched kernel off in both modes).  Every case must produce
-    byte-identical results in both modes; the speedups are only
+    Every case runs through the batched admission pass and through the
+    scalar pass and must produce byte-identical results in both
+    modes; the speedups are only
     reported once that holds.  With ``--baseline`` the run also fails
     (exit 3) when any case's speedup falls more than ``--tolerance``
     below the committed baseline's — this is the check CI runs on
@@ -725,7 +723,6 @@ def cmd_bench(args) -> int:
     doc = run_suite(
         args.suite,
         suite_cases(args.suite, quick=args.quick),
-        pair=args.pair,
         quick=args.quick,
         warmup=args.warmup,
         repeats=args.repeats,
@@ -865,10 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="What happens inside a run — admission, delivery, "
                "validation — is walked through in docs/architecture.md; "
                "telemetry flags in docs/observability.md; fault flags in "
-               "docs/fault_tolerance.md.  With numpy installed the "
-               "batched kernel is on by default; REPRO_BATCH_KERNEL=off "
-               "(and REPRO_OCC_INDEX=off) fall back to the scalar paths "
-               "with byte-identical output (docs/performance.md).",
+               "docs/fault_tolerance.md; the batched admission kernel "
+               "in docs/performance.md.",
     )
     _add_common(p_run)
     _add_workload(p_run)
@@ -962,20 +957,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="paired microbenchmarks of the simulation hot path",
-        epilog="Each case runs twice along the chosen --pair axis — "
-               "batched kernel on vs off (pair batch, the default) or "
-               "occupancy index on vs off (pair occ-index) — and must "
-               "produce byte-identical results in both modes before any "
-               "speedup is reported.  Suites, methodology, and the "
-               "committed baselines (BENCH_sim_hotpath.json, "
-               "BENCH_sim_batched.json) are documented in "
-               "docs/performance.md.",
+        epilog="Each case runs twice on policies built the same way — "
+               "once through the batched admission pass, once through "
+               "the scalar pass — and must produce byte-identical "
+               "results in both modes before any speedup is reported.  "
+               "Suites, methodology, and the committed baselines "
+               "(BENCH_sim_hotpath.json, BENCH_sim_batched.json) are "
+               "documented in docs/performance.md.",
     )
     p_bench.add_argument("--suite", default="core", choices=list(SUITES),
                          help="which suite to run (default: core)")
-    p_bench.add_argument("--pair", default="batch", choices=list(PAIRS),
-                         help="which fast path to pair against its "
-                              "reference (default: batch)")
     p_bench.add_argument("--quick", action="store_true",
                          help="scaled-down cases for CI smoke runs "
                               "(seconds instead of minutes)")
@@ -986,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "reported (default: 3)")
     p_bench.add_argument("--output", dest="bench_output", default=None,
                          metavar="FILE.json",
-                         help="write the bench document (schema repro-bench/2)")
+                         help="write the bench document (schema repro-bench/3)")
     p_bench.add_argument("--baseline", default=None, metavar="FILE.json",
                          help="compare speedups against a committed bench "
                               "document; exit 3 on regression")

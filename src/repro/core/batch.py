@@ -47,11 +47,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro import fastpath
+import numpy as np
+
 from repro.core.admission import AdmissionMode
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
-from repro.errors import ConfigurationError
 
 #: Compact only past this many rows (small tables never pay the cost).
 _COMPACT_MIN_ROWS = 512
@@ -60,9 +60,9 @@ _COMPACT_MIN_ROWS = 512
 class BatchAdmissionIndex:
     """Whole-queue claim verdicts over a persistent lane table.
 
-    Built by the scheduler only when its :class:`SlotPool` carries the
-    numpy free-half mirror (``pool.batched``); the scalar pass remains
-    the reference path and the fcfs discipline (whose head-of-line
+    Built by the scheduler for every discipline but fcfs and read
+    against the pool's numpy free-half mirror.  The scalar pass remains
+    the reference path, and the fcfs discipline (whose head-of-line
     blocking a skip-based walk cannot express) always uses it.
 
     Segment *positions* (the index of a display's segment in creation
@@ -73,12 +73,6 @@ class BatchAdmissionIndex:
     """
 
     def __init__(self, pool: SlotPool, mode: AdmissionMode) -> None:
-        np = fastpath.numpy_or_none()
-        if np is None or pool.free_halves_array() is None:
-            raise ConfigurationError(
-                "BatchAdmissionIndex needs numpy and a batched SlotPool"
-            )
-        self.np = np
         self.pool = pool
         self.mode = mode
         #: Bumped by compaction; cached segment positions die with it.
@@ -118,7 +112,6 @@ class BatchAdmissionIndex:
         capacity = len(self._bases)
         if rows <= capacity:
             return
-        np = self.np
         while capacity < rows:
             capacity *= 2
         for name, fill in (("_bases", 0), ("_halves", 1), ("_pending", False)):
@@ -212,7 +205,6 @@ class BatchAdmissionIndex:
         docstring); True only means "worth probing" — the scalar claim
         path re-checks lane by lane.
         """
-        np = self.np
         rows = self._rows
         if rows == 0:
             return np.zeros(0, dtype=bool)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.batch import BatchAdmissionIndex
 from repro.core.display import Display, Lane
@@ -152,12 +154,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         # interval computes claim verdicts for the whole queue, and
         # displays that provably cannot claim skip their scalar probe.
         # Bound instance-wise like `advance`, so the scalar class
-        # method stays byte-for-byte the reference path.  fcfs keeps
-        # the scalar pass — its head-of-line blocking on the first
-        # incomplete claim is order-dependent in a way a skip-based
-        # walk cannot express.
+        # method stays byte-for-byte the reference path (see
+        # use_scalar_admission).  fcfs keeps the scalar pass — its
+        # head-of-line blocking on the first incomplete claim is
+        # order-dependent in a way a skip-based walk cannot express.
         self._batch_index: Optional[BatchAdmissionIndex] = None
-        if queue_discipline != "fcfs" and disk_manager.pool.batched:
+        if queue_discipline != "fcfs":
             self._batch_index = BatchAdmissionIndex(
                 disk_manager.pool, self.admitter.mode
             )
@@ -211,6 +213,18 @@ class StaggeredStripingPolicy(StoragePolicy):
         self._c_completed.value = float(self.completed)
         self._c_evictions.value = float(self.object_manager.evictions)
         self._c_materializations.value = float(self._n_materializations)
+
+    def use_scalar_admission(self) -> None:
+        """Admit through the scalar pass instead of the batched one.
+
+        The scalar pass is the reference the batched pass must match
+        byte for byte; the identity tests and ``repro bench`` run both
+        on policies built the same way.  Call before the first
+        interval.  (fcfs policies already run the scalar pass.)
+        """
+        self._batch_index = None
+        # Drop the instance binding so the class's scalar pass shows.
+        self.__dict__.pop("_admission_pass", None)
 
     def __repr__(self) -> str:
         return (
@@ -700,7 +714,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         """Display ids whose pre-probe verdict is True right now, or
         None when every queued display's verdict is False."""
         index = self._batch_index
-        np = index.np
         verdicts = index.pass_verdicts(interval)
         gather = self._batch_gather_np
         if gather is None:
@@ -856,15 +869,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         """
         if self.admitter.mode is not AdmissionMode.FRAGMENTED:
             return None
-        pool = self.disk_manager.pool
-        if pool.indexed:
-            return pool.free_count - self._queued_pending_lanes
-        reserved = sum(
-            entry.display.pending_lane_count
-            for entry in self._queue
-            if entry.display is not None
-        )
-        return pool.free_count - reserved
+        return self.disk_manager.pool.free_count - self._queued_pending_lanes
 
     def _new_display(
         self, obj: MediaObject, start_disk: int, request: Request

@@ -29,6 +29,7 @@ would fail identically again) as done and only dispatches the rest.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -172,11 +173,17 @@ class SweepJournal:
             # and concurrent settlers — the local executor and a cluster
             # master flushing agent results into the same journal — cannot
             # interleave bytes *within* a row the way a buffered writer
-            # splitting one line across flushes could.
+            # splitting one line across flushes could.  The exclusive
+            # lock spans the tail repair and the write: without it, the
+            # repair can read the last byte while another settler's
+            # record is still landing and append a stray newline into
+            # the middle of it.  (The lock dies with its holder, so a
+            # crashed writer never wedges the others.)
             fd = os.open(
                 self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 self._repair_tail(fd)
                 failpoints.fire(
                     SITE_APPEND_PRE_WRITE,

@@ -13,8 +13,8 @@ Accepted sources (auto-detected):
   schema ``repro-obs-artifact/1``) — one run's stored telemetry;
 * a **metrics document** (``--metrics FILE`` output:
   ``{"level": ..., "runs": [...]}``) — a whole session;
-* a **bench document** (``BENCH_*.json``, schema ``repro-bench/2``;
-  schema-1 files still flatten) — case medians, speedups, and
+* a **bench document** (``BENCH_*.json``, schema ``repro-bench/3``;
+  older schemas still flatten) — case medians, speedups, and
   byte-identity flags;
 * an **obs-overhead document** (``BENCH_obs_overhead.json``: a list of
   per-level rows) — and, generically, any JSON list of flat dicts;

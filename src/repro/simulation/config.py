@@ -126,6 +126,19 @@ class SimulationConfig:
                 f"{self.technique} needs D divisible by M: "
                 f"D={self.num_disks}, M={self.degree}"
             )
+        if self.num_stations < 1:
+            raise ConfigurationError(
+                f"num_stations must be >= 1, got {self.num_stations}"
+            )
+        if self.stride is not None and not 1 <= self.stride <= self.num_disks:
+            raise ConfigurationError(
+                f"stride must be in 1..{self.num_disks}, got {self.stride}"
+            )
+        if self.access_mean is not None and not self.access_mean > 0:
+            raise ConfigurationError(
+                f"access_mean must be > 0 (or None for uniform), "
+                f"got {self.access_mean}"
+            )
         if self.sanitize not in ("off", "check", "strict"):
             raise ConfigurationError(
                 f"sanitize must be one of off/check/strict, "

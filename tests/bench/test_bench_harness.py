@@ -7,24 +7,31 @@ import json
 
 import pytest
 
-from repro import fastpath
 from repro.benchmarks import (
-    PAIRS,
     SCHEMA,
     SUITES,
     BenchCase,
     BenchError,
     check_regression,
     format_report,
-    pair_flags,
     run_suite,
     suite_cases,
     validate_document,
 )
 from repro.benchmarks.harness import validate_document as _vd  # re-export check
-from repro.core import virtual_disks
+from repro.core.scheduler import StaggeredStripingPolicy
 from repro.core.virtual_disks import SlotPool
 from repro.errors import ReproError
+
+
+class _Policy:
+    """Stands in for a built policy: records the harness's switch."""
+
+    def __init__(self):
+        self.scalar = False
+
+    def use_scalar_admission(self):
+        self.scalar = True
 
 
 def _counting_case(name="count") -> BenchCase:
@@ -38,23 +45,9 @@ def _counting_case(name="count") -> BenchCase:
             pool.release_all("x")
             return {"total": total, "free": pool.free_half_total}
 
-        return thunk
+        return thunk, [_Policy()]
 
     return BenchCase(name=name, prepare=prepare, params={"num_disks": 8})
-
-
-class TestPairFlags:
-    def test_batch_pair_keeps_index_on_in_both_modes(self):
-        assert pair_flags("batch", True) == (True, True)
-        assert pair_flags("batch", False) == (True, False)
-
-    def test_occ_index_pair_keeps_batch_off_in_both_modes(self):
-        assert pair_flags("occ-index", True) == (True, False)
-        assert pair_flags("occ-index", False) == (False, False)
-
-    def test_unknown_pair_raises(self):
-        with pytest.raises(BenchError, match="unknown bench pair"):
-            pair_flags("nope", True)
 
 
 class TestRunSuite:
@@ -63,7 +56,7 @@ class TestRunSuite:
         validate_document(doc)  # must not raise
         assert doc["schema"] == SCHEMA
         assert doc["suite"] == "unit"
-        assert doc["pair"] == "batch"
+        assert "pair" not in doc
         assert doc["repeats"] == 2
         (row,) = doc["cases"]
         assert row["name"] == "count"
@@ -76,46 +69,26 @@ class TestRunSuite:
         doc = run_suite("unit", [_counting_case()], warmup=0, repeats=1)
         validate_document(json.loads(json.dumps(doc)))
 
-    def test_unknown_pair_rejected_up_front(self):
-        with pytest.raises(BenchError, match="unknown bench pair"):
-            run_suite("unit", [_counting_case()], pair="bogus")
-
-    @pytest.mark.parametrize("pair", PAIRS)
-    def test_both_modes_actually_run(self, pair):
+    def test_both_modes_actually_run(self):
+        """Fast mode leaves the built policies alone; reference mode
+        switches every one of them to the scalar pass."""
         seen = []
-        original_occ = virtual_disks.occupancy_index_enabled
-        original_batch = fastpath.batch_kernel_enabled
 
         def prepare():
-            seen.append(
-                (
-                    virtual_disks.occupancy_index_enabled(),
-                    fastpath.batch_kernel_enabled(),
-                )
-            )
-            return lambda: {"ok": 1}
+            policies = [_Policy(), _Policy()]
+            seen.append(policies)
+            return (lambda: {"ok": 1}), policies
 
         run_suite(
             "unit",
             [BenchCase(name="modes", prepare=prepare)],
-            pair=pair,
             warmup=0,
             repeats=1,
         )
-        have_numpy = fastpath.numpy_available()
-        expected = [
-            pair_flags(pair, True),
-            pair_flags(pair, False),
+        assert [[p.scalar for p in policies] for policies in seen] == [
+            [False, False],
+            [True, True],
         ]
-        # The batch switch is additionally gated on numpy availability,
-        # so without numpy the fast mode degrades to scalar.
-        expected = [
-            (occ, batch and have_numpy) for occ, batch in expected
-        ]
-        assert seen == expected
-        # The patches must not leak out of the harness.
-        assert virtual_disks.occupancy_index_enabled is original_occ
-        assert fastpath.batch_kernel_enabled is original_batch
 
     def test_nondeterminism_is_an_error(self):
         counter = [0]
@@ -125,7 +98,7 @@ class TestRunSuite:
                 counter[0] += 1
                 return {"n": counter[0]}
 
-            return thunk
+            return thunk, []
 
         with pytest.raises(BenchError, match="nondeterministic"):
             run_suite(
@@ -137,34 +110,44 @@ class TestRunSuite:
 
     def test_mode_divergence_is_an_error(self):
         def prepare():
-            mode = virtual_disks.occupancy_index_enabled()
-            return lambda: {"mode": mode}
+            policy = _Policy()
+            return (lambda: {"scalar": policy.scalar}), [policy]
 
         with pytest.raises(BenchError, match="diverged"):
             run_suite(
                 "unit",
                 [BenchCase(name="diverge", prepare=prepare)],
-                pair="occ-index",
                 warmup=0,
                 repeats=1,
             )
 
-    @pytest.mark.skipif(
-        not fastpath.numpy_available(), reason="batch pair needs numpy"
-    )
     def test_batch_pair_divergence_is_an_error(self):
+        """With real policies: a payload that sees which admission pass
+        is bound diverges, proving the harness switches real policies
+        in the reference mode."""
+
         def prepare():
-            mode = fastpath.batch_kernel_enabled()
-            return lambda: {"mode": mode}
+            _thunk, (policy,) = suite_cases("core", quick=True)[0].prepare()
+            return (lambda: {"batched": policy._batch_index is not None}), [
+                policy
+            ]
 
         with pytest.raises(BenchError, match="diverged"):
             run_suite(
                 "unit",
                 [BenchCase(name="diverge", prepare=prepare)],
-                pair="batch",
                 warmup=0,
                 repeats=1,
             )
+
+    def test_unknown_pair_rejected_up_front(self):
+        """One pairing remains; the retired ``--pair`` flag is an
+        argparse error (exit 2), not silently ignored."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["bench", "--pair", "batch"])
+        assert exit_info.value.code == 2
 
     def test_format_report_lists_every_case(self):
         doc = run_suite(
@@ -175,7 +158,7 @@ class TestRunSuite:
         )
         report = format_report(doc)
         assert "a" in report and "b" in report and "speedup" in report
-        assert "pair=batch" in report
+        assert "batched" in report and "scalar" in report
 
 
 class TestValidateDocument:
@@ -189,13 +172,18 @@ class TestValidateDocument:
         with pytest.raises(BenchError, match="schema"):
             validate_document({"schema": "repro-bench/1", "cases": [{}]})
 
-    def test_rejects_missing_pair(self):
-        with pytest.raises(BenchError, match="pair"):
-            validate_document({"schema": SCHEMA, "cases": [{}]})
+    def test_rejects_schema_two(self):
+        """Documents from the pair-axis era (``--pair batch|occ-index``)
+        paired different references; they are re-recorded, not
+        compared."""
+        with pytest.raises(BenchError, match="schema"):
+            validate_document(
+                {"schema": "repro-bench/2", "pair": "batch", "cases": [{}]}
+            )
 
     def test_rejects_missing_cases(self):
         with pytest.raises(BenchError, match="no cases"):
-            validate_document({"schema": SCHEMA, "pair": "batch", "cases": []})
+            validate_document({"schema": SCHEMA, "cases": []})
 
     def test_rejects_non_identical_outputs(self):
         doc = run_suite("unit", [_counting_case()], warmup=0, repeats=1)
@@ -208,10 +196,8 @@ class TestValidateDocument:
 
 
 class TestCheckRegression:
-    def _doc(self, speedup, pair="batch"):
-        doc = run_suite(
-            "unit", [_counting_case()], pair=pair, warmup=0, repeats=1
-        )
+    def _doc(self, speedup):
+        doc = run_suite("unit", [_counting_case()], warmup=0, repeats=1)
         doc["cases"][0]["speedup"] = speedup
         return doc
 
@@ -229,20 +215,10 @@ class TestCheckRegression:
         baseline["cases"][0]["name"] = "something-else"
         assert check_regression(current, baseline) == []
 
-    def test_pair_mismatch_is_a_failure(self):
-        failures = check_regression(
-            self._doc(2.0, pair="batch"), self._doc(2.0, pair="occ-index")
-        )
-        assert len(failures) == 1
-        assert "pair mismatch" in failures[0]
-
 
 class TestSuiteRegistry:
     def test_known_suites(self):
-        assert SUITES == ("core", "admission", "sweep", "batched")
-
-    def test_known_pairs(self):
-        assert PAIRS == ("batch", "occ-index")
+        assert SUITES == ("core", "sweep", "batched")
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_yields_cases(self, suite):
@@ -257,19 +233,29 @@ class TestSuiteRegistry:
 
 
 class TestSeededRepeatability:
-    def test_quick_admission_suite_is_repeatable(self):
+    def test_quick_sweep_suite_is_repeatable(self):
         """Two fresh runs of a real suite produce identical digests —
-        the underlying workloads are fully seeded."""
-        cases = suite_cases("admission", quick=True)
-        first = run_suite("admission", cases, quick=True, warmup=0, repeats=1)
+        the underlying workloads are fully seeded — and the scalar
+        reference matches the batched pass."""
+        first = run_suite(
+            "sweep", suite_cases("sweep", quick=True), quick=True,
+            warmup=0, repeats=1,
+        )
         second = run_suite(
-            "admission",
-            suite_cases("admission", quick=True),
-            quick=True,
-            warmup=0,
-            repeats=1,
+            "sweep", suite_cases("sweep", quick=True), quick=True,
+            warmup=0, repeats=1,
         )
         for a, b in zip(first["cases"], second["cases"]):
             assert a["name"] == b["name"]
             assert a["fast"]["digest"] == b["fast"]["digest"]
             assert a["reference"]["digest"] == b["reference"]["digest"]
+            assert a["byte_identical"] and b["byte_identical"]
+
+    def test_real_cases_hand_back_striping_policies(self):
+        for case in suite_cases("sweep", quick=True):
+            _thunk, policies = case.prepare()
+            assert policies
+            assert all(
+                isinstance(policy, StaggeredStripingPolicy)
+                for policy in policies
+            )

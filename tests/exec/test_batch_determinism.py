@@ -1,31 +1,44 @@
-"""Executor determinism with the batched kernel on.
+"""Executor determinism with the batched admission pass.
 
-The batched admission/settle path must be invisible to the executor
-contract: ``--jobs 1``, ``--jobs 4``, and a warm-cache pass over the
-same sweep produce byte-identical rows with ``REPRO_BATCH_KERNEL=on``,
-and those rows are byte-identical to a scalar (``REPRO_BATCH_KERNEL=
-off``) execution of the same specs — under ``--sanitize strict`` with
-faults armed, so every invariant sweep (including the batch index's
-own) runs on every interval.  The switch propagates to worker
-processes through the environment, which is exactly how a user would
-flip it.
+The batched admission pass must be invisible to the executor contract:
+``--jobs 1``, ``--jobs 4``, and a warm-cache pass over the same sweep
+produce byte-identical rows, and those rows are byte-identical to an
+execution of the same specs whose policies run the scalar pass — under
+``--sanitize strict`` with faults armed, so every invariant sweep
+(including the batch index's own) runs on every interval.  Scalar
+executions run in-process (``jobs=1``), where :func:`scalar_admission`
+switches every policy the runner builds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
 
-from repro import fastpath, switches
+from repro.core.scheduler import StaggeredStripingPolicy
 from repro.exec import ResultCache, canonical_json, execute, experiment_spec
 from repro.simulation.config import ScaledConfig
 
 PARALLEL_JOBS = int(os.environ.get("REPRO_EXEC_JOBS", "4"))
 
-pytestmark = pytest.mark.skipif(
-    not fastpath.numpy_available(), reason="batched kernel needs numpy"
-)
+
+@contextlib.contextmanager
+def scalar_admission():
+    """While active, every striping policy built admits through the
+    scalar pass; yields the list of policies switched."""
+    built = []
+    init = StaggeredStripingPolicy.__init__
+
+    def scalar_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.use_scalar_admission()
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StaggeredStripingPolicy, "__init__", scalar_init)
+        yield built
 
 
 def sweep_specs():
@@ -51,9 +64,7 @@ def rows_bytes(records) -> str:
 
 
 class TestBatchedExecutorDeterminism:
-    def test_serial_parallel_and_cache_identical(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "on")
+    def test_serial_parallel_and_cache_identical(self, tmp_path):
         specs = sweep_specs()
         serial = rows_bytes(execute(specs, jobs=1))
         parallel = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
@@ -66,26 +77,25 @@ class TestBatchedExecutorDeterminism:
         assert rows_bytes(warm_records) == serial
         assert all(record.cached for record in warm_records)
 
-    def test_batched_rows_equal_scalar_rows(self, monkeypatch):
-        """The whole-sweep cross-check: flipping the kernel switch (the
-        env var workers inherit) must not move a single byte."""
+    def test_batched_rows_equal_scalar_rows(self):
+        """The whole-sweep cross-check: running every policy through
+        the scalar pass must not move a single byte."""
         specs = sweep_specs()
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "on")
         batched = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "off")
-        scalar = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
+        with scalar_admission() as built:
+            scalar = rows_bytes(execute(specs, jobs=1))
+        assert len(built) == len(specs)
         assert batched == scalar
 
-    def test_warm_cache_hits_across_kernel_modes(self, tmp_path,
-                                                 monkeypatch):
-        """The kernel switch is not part of the spec digest — it cannot
+    def test_warm_cache_hits_across_kernel_modes(self, tmp_path):
+        """The admission pass is not part of the spec digest — it cannot
         change results, so scalar-produced cache entries must satisfy
-        batched runs (and vice versa)."""
+        batched runs."""
         specs = sweep_specs()
         cache = ResultCache(tmp_path / "cache")
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "off")
-        scalar = rows_bytes(execute(specs, jobs=1, cache=cache))
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "on")
+        with scalar_admission() as built:
+            scalar = rows_bytes(execute(specs, jobs=1, cache=cache))
+        assert len(built) == len(specs)
         warm = execute(specs, jobs=1, cache=cache)
         assert all(record.cached for record in warm)
         assert rows_bytes(warm) == scalar

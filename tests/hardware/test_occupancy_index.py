@@ -5,11 +5,14 @@ array, capacity buckets and free-half total; :class:`DiskArray`'s
 claimed/failed running counts) are pure acceleration: after *any*
 sequence of claims, releases, failures and repairs they must answer
 every query exactly as a brute-force rescan of the ownership maps
-would.  Hypothesis drives random operation sequences against both and
-checks equivalence after every step.
+would.  Hypothesis drives random operation sequences against the pool
+and the :class:`ScanSlotPool` oracle and checks equivalence after every
+step.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Hashable, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,58 @@ ops = st.lists(
 )
 
 
+class ScanSlotPool:
+    """Oracle: slot ownership as a plain ``slot -> {owner: halves}``
+    map, every query answered by rescanning it."""
+
+    def __init__(self, num_disks: int) -> None:
+        self.num_disks = num_disks
+        self.owners: Dict[int, Dict[Hashable, int]] = {}
+
+    def claimed_halves(self, slot: int) -> int:
+        return sum(self.owners.get(slot, {}).values())
+
+    def free_halves(self, slot: int) -> int:
+        return HALVES_PER_SLOT - self.claimed_halves(slot)
+
+    @property
+    def free_half_total(self) -> int:
+        return sum(self.free_halves(z) for z in range(self.num_disks))
+
+    @property
+    def free_count(self) -> int:
+        return self.num_disks - len(self.owners)
+
+    def free_slots(self) -> List[int]:
+        return [z for z in range(self.num_disks) if z not in self.owners]
+
+    def slots_with_headroom(self, halves: int) -> int:
+        return sum(
+            1 for z in range(self.num_disks) if self.free_halves(z) >= halves
+        )
+
+    def claim(self, slot: int, owner: Hashable, halves: int) -> None:
+        if self.claimed_halves(slot) + halves > HALVES_PER_SLOT:
+            raise SchedulingError(f"virtual disk {slot} oversubscribed")
+        holders = self.owners.setdefault(slot, {})
+        holders[owner] = holders.get(owner, 0) + halves
+
+    def release(self, slot: int, owner: Hashable) -> int:
+        holders = self.owners.get(slot, {})
+        if owner not in holders:
+            raise SchedulingError(f"virtual disk {slot} holds nothing")
+        halves = holders.pop(owner)
+        if not holders:
+            del self.owners[slot]
+        return halves
+
+    def release_all(self, owner: Hashable) -> int:
+        slots = [z for z, holders in self.owners.items() if owner in holders]
+        for slot in slots:
+            self.release(slot, owner)
+        return len(slots)
+
+
 def pool_brute_force_free(pool: SlotPool) -> list:
     return [
         HALVES_PER_SLOT - sum(pool._owners.get(z, {}).values())
@@ -44,6 +99,7 @@ def pool_brute_force_free(pool: SlotPool) -> list:
 def assert_pool_index_consistent(pool: SlotPool) -> None:
     free = pool_brute_force_free(pool)
     assert pool._free == free
+    assert pool._free_np.tolist() == free
     assert pool._free_half_total == sum(free)
     buckets = [0] * (HALVES_PER_SLOT + 1)
     for h in free:
@@ -58,16 +114,17 @@ def assert_pool_index_consistent(pool: SlotPool) -> None:
 @given(st.integers(min_value=1, max_value=12), ops)
 @settings(max_examples=120, deadline=None)
 def test_slot_pool_index_matches_brute_force(num_disks, operations):
-    """Indexed and legacy pools see identical operations and must agree
-    on every query; the index must match a rescan after every step."""
-    indexed = SlotPool(num_disks=num_disks, stride=1, indexed=True)
-    legacy = SlotPool(num_disks=num_disks, stride=1, indexed=False)
+    """The pool and the scan oracle see identical operations and must
+    agree on every query; the index must match a rescan after every
+    step."""
+    indexed = SlotPool(num_disks=num_disks, stride=1)
+    oracle = ScanSlotPool(num_disks)
     for kind, slot, owner, halves in operations:
         slot %= num_disks
         if kind in ("fail", "repair"):
             continue  # DiskArray-only operations
         outcomes = []
-        for pool in (indexed, legacy):
+        for pool in (indexed, oracle):
             try:
                 if kind == "claim":
                     pool.claim(slot, owner, halves=halves)
@@ -81,15 +138,15 @@ def test_slot_pool_index_matches_brute_force(num_disks, operations):
         assert outcomes[0] == outcomes[1]
         assert_pool_index_consistent(indexed)
         for z in range(num_disks):
-            assert indexed.free_halves(z) == legacy.free_halves(z)
-            assert indexed.claimed_halves(z) == legacy.claimed_halves(z)
-        assert indexed.free_half_total == legacy.free_half_total
-        assert indexed.has_free_halves == legacy.has_free_halves
-        assert indexed.free_count == legacy.free_count
-        assert indexed.free_slots() == legacy.free_slots()
+            assert indexed.free_halves(z) == oracle.free_halves(z)
+            assert indexed.claimed_halves(z) == oracle.claimed_halves(z)
+        assert indexed.free_half_total == oracle.free_half_total
+        assert indexed.has_free_halves == (oracle.free_half_total > 0)
+        assert indexed.free_count == oracle.free_count
+        assert indexed.free_slots() == oracle.free_slots()
         for halves in range(1, HALVES_PER_SLOT + 1):
             assert indexed.slots_with_headroom(halves) == (
-                legacy.slots_with_headroom(halves)
+                oracle.slots_with_headroom(halves)
             )
 
 
@@ -133,7 +190,7 @@ def test_sanitize_sweep_is_clean_after_any_sequence(num_disks, operations):
     """The sanitizer's occ_index cross-check never fires on states
     reached through the public API, and the clean-skip memo never
     suppresses a sweep of changed state."""
-    pool = SlotPool(num_disks=num_disks, stride=1, indexed=True)
+    pool = SlotPool(num_disks=num_disks, stride=1)
     sanitizer = Sanitizer(mode="check")
     for kind, slot, owner, halves in operations:
         slot %= num_disks
@@ -159,7 +216,7 @@ def test_clean_skip_memo_does_not_mask_corruption():
     """Direct corruption after a clean sweep is still caught on the
     next sweep once the pool changes (version bump) — and an unclean
     sweep never arms the memo."""
-    pool = SlotPool(num_disks=4, stride=1, indexed=True)
+    pool = SlotPool(num_disks=4, stride=1)
     sanitizer = Sanitizer(mode="check")
     pool.claim(0, "a")
     pool.verify_invariants(sanitizer, interval=0)

@@ -343,12 +343,18 @@ class TestCohortStepping:
         sim.schedule(0.5, lambda _: timer.cancel(), None)
 
     def test_batched_run_matches_scalar_run(self):
+        """run() drains cohorts; stepping one entry at a time is the
+        reference order it must reproduce."""
         traces = []
-        for batched in (False, True):
-            sim = Simulation(batched=batched)
+        for cohorts in (False, True):
+            sim = Simulation()
             trace = []
             self._churn(sim, trace)
-            sim.run()
+            if cohorts:
+                sim.run()
+            else:
+                while sim.step():
+                    pass
             traces.append((trace, sim.now))
         assert traces[0] == traces[1]
         assert ("cancelled", 2.0) not in traces[0][0]
@@ -376,9 +382,9 @@ class TestCohortStepping:
         assert seen == ["keep", "keep2"]
 
     def test_max_events_disables_cohort_draining(self):
-        """A bounded run must honour the per-entry budget even when the
-        kernel is batched (a cohort could overshoot it)."""
-        sim = Simulation(batched=True)
+        """A bounded run must honour the per-entry budget (a cohort
+        could overshoot it)."""
+        sim = Simulation()
         seen = []
         for label in ("a", "b", "c"):
             sim.schedule(1.0, seen.append, label)
@@ -386,7 +392,7 @@ class TestCohortStepping:
         assert seen == ["a", "b"]
 
     def test_run_until_stops_before_next_cohort(self):
-        sim = Simulation(batched=True)
+        sim = Simulation()
         seen = []
         sim.schedule(1.0, seen.append, "early")
         sim.schedule(5.0, seen.append, "late")

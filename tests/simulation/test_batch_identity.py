@@ -1,12 +1,12 @@
-"""End-to-end byte-identity of the batched kernel.
+"""End-to-end byte-identity of the batched admission pass.
 
-The acceptance bar for the whole batched path (lane-table admission,
-cohort settle, station heap): running the same configuration with
-``REPRO_BATCH_KERNEL`` on and off must produce **byte-identical**
-serialized results — across admission modes, queue disciplines, and
-fault scenarios, and under ``--sanitize strict`` so every invariant
-sweep runs.  ``REPRO_NO_NUMPY=1`` (the fallback a numpy-less install
-takes) must land on the same bytes too.
+The acceptance bar for the batched kernel (lane-table admission
+verdicts): running the same configuration through the batched pass
+and through the scalar pass — on policies built the same way, the
+second switched with ``use_scalar_admission`` — must produce
+**byte-identical** serialized results across admission modes, queue
+disciplines, fault scenarios and open-workload deadline cancellations,
+with the configured sanitizer (``strict``) sweeping every interval.
 """
 
 from __future__ import annotations
@@ -15,26 +15,21 @@ import json
 
 import pytest
 
-from repro import fastpath, switches
+from repro.sim import sanitize
 from repro.simulation.config import ScaledConfig
-from repro.simulation.runner import build_engine
-
-pytestmark = pytest.mark.skipif(
-    not fastpath.numpy_available(), reason="pairing needs numpy"
-)
+from repro.simulation.runner import build_engine, effective_sanitize_mode
 
 
-def run_blob(config, batch_on) -> str:
-    original = fastpath.batch_kernel_enabled
-    fastpath.batch_kernel_enabled = lambda: batch_on
-    try:
-        engine = build_engine(config)
+def run_blob(config, batched: bool) -> str:
+    sanitizer = sanitize.build_sanitizer(effective_sanitize_mode(config))
+    with sanitize.activation(sanitizer):
+        engine = build_engine(config, sanitizer=sanitizer)
+        if not batched:
+            engine.policy.use_scalar_admission()
         result = engine.run(
             warmup_intervals=config.warmup_intervals,
             measure_intervals=config.measure_intervals,
         )
-    finally:
-        fastpath.batch_kernel_enabled = original
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
@@ -65,6 +60,13 @@ CASES = {
         technique="staggered", num_stations=8, mttf=40.0, mttr=6.0,
         redundancy="none", on_fault="abort", sanitize="strict",
     ),
+    # Deadline cancellations mutate the queue outside the admission
+    # pass (try_cancel -> _cancel_display), forcing the batched pass to
+    # rebuild its maintained lists.
+    "open_deadline_cancel": ScaledConfig(scale=50).with_(
+        technique="staggered", arrival="poisson", arrival_rate=0.2,
+        deadline_intervals=5, access_mean=0.2, sanitize="strict",
+    ),
 }
 
 
@@ -74,29 +76,30 @@ def test_batched_run_is_byte_identical_to_scalar(name):
     assert run_blob(config, True) == run_blob(config, False)
 
 
-def test_no_numpy_fallback_is_byte_identical(monkeypatch):
-    """Masking numpy entirely (the ``[fast]``-less install) routes
-    every component to its scalar path and must not move a byte."""
-    config = CASES["staggered_fragmented"]
-    batched = run_blob(config, True)
-    monkeypatch.setenv(switches.NO_NUMPY_ENV, "1")
-    assert fastpath.numpy_or_none() is None
+def test_open_case_cancels_queued_displays():
+    """The cancellation case is only a cancellation test if queued
+    entries that already carry a display (and so sit in the batched
+    pass's maintained lists) are cancelled."""
+    config = CASES["open_deadline_cancel"]
     engine = build_engine(config)
-    result = engine.run(
-        warmup_intervals=config.warmup_intervals,
-        measure_intervals=config.measure_intervals,
+    policy = engine.policy
+    cancelled = []
+    cancel = policy._cancel_display
+    policy._cancel_display = lambda display: (
+        cancelled.append(display.display_id), cancel(display)
     )
-    assert json.dumps(result.to_dict(), sort_keys=True) == batched
-
-
-def test_kernel_switch_off_disables_batch_state(monkeypatch):
-    monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "off")
-    config = CASES["staggered_fragmented"]
-    engine = build_engine(config)
-    assert engine.policy._batch_index is None
+    result = engine.run(config.warmup_intervals, config.measure_intervals)
+    assert result.to_dict()["blocked"] > 0
+    assert cancelled
 
 
 def test_kernel_switch_on_builds_batch_state():
-    config = CASES["staggered_fragmented"]
-    engine = build_engine(config)
+    engine = build_engine(CASES["staggered_fragmented"])
     assert engine.policy._batch_index is not None
+
+
+def test_kernel_switch_off_disables_batch_state():
+    engine = build_engine(CASES["staggered_fragmented"])
+    engine.policy.use_scalar_admission()
+    assert engine.policy._batch_index is None
+    assert "_admission_pass" not in vars(engine.policy)

@@ -96,6 +96,43 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             PaperConfig(fill_factor=1.5)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_stations": 0},
+            {"num_stations": -3},
+            {"technique": "staggered", "stride": 0},
+            {"technique": "staggered", "stride": 1001},
+            {"access_mean": -1.0},
+            {"access_mean": 0.0},
+        ],
+    )
+    def test_invalid_workload_fields(self, overrides):
+        with pytest.raises(ConfigurationError):
+            PaperConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--stations", "0"], "num_stations must be >= 1"),
+            (["--stride", "0"], "stride must be in 1..100"),
+            (["--mean", "-1"], "access_mean must be > 0"),
+        ],
+    )
+    def test_invalid_run_flags_exit_two_before_planning(
+        self, flags, message, capsys
+    ):
+        from repro.cli import main
+
+        assert main(["run", "--scale", "10", "--no-cache", *flags]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert message in err
+        assert "runs failed" not in err
+
+    def test_uniform_access_needs_no_mean(self):
+        assert PaperConfig(access_mean=None).access_mean is None
+
     def test_with_returns_modified_copy(self):
         base = PaperConfig()
         other = base.with_(num_stations=64)

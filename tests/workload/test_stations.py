@@ -10,6 +10,18 @@ from repro.workload.access import UniformAccess
 from repro.workload.stations import StationPool
 
 
+class ScanStationPool(StationPool):
+    """Oracle: issue by scanning every station each interval, in
+    station-id order — the order the idle heap must reproduce."""
+
+    def ready_requests(self, interval):
+        return [
+            self._issue(station, interval)
+            for station in self.stations
+            if not (station.busy or interval < station.next_issue_at)
+        ]
+
+
 @pytest.fixture
 def pool(stream):
     access = UniformAccess(list(range(5)), stream)
@@ -74,24 +86,20 @@ def test_validation(stream):
 
 
 class TestHeapEquivalence:
-    """The batched pool's idle heap must issue exactly the requests,
-    in exactly the order (hence with exactly the RNG draws), of the
-    scalar station scan — over arbitrary complete/idle interleavings,
-    including non-monotone interval queries."""
+    """The pool's idle heap must issue exactly the requests, in exactly
+    the order (hence with exactly the RNG draws), of the station-scan
+    oracle — over arbitrary complete/idle interleavings, including
+    non-monotone interval queries."""
 
     def _pools(self, num_stations, think):
-        pools = []
-        for batched in (False, True):
-            access = UniformAccess(list(range(7)), RandomStream(seed=99))
-            pools.append(
-                StationPool(
-                    num_stations=num_stations,
-                    access=access,
-                    think_intervals=think,
-                    batched=batched,
-                )
+        return [
+            cls(
+                num_stations=num_stations,
+                access=UniformAccess(list(range(7)), RandomStream(seed=99)),
+                think_intervals=think,
             )
-        return pools
+            for cls in (ScanStationPool, StationPool)
+        ]
 
     def _assert_same_requests(self, a, b):
         assert [
