@@ -13,10 +13,10 @@ Commands
 ``bench``         paired hot-path microbenchmarks: batched vs scalar
                   admission pass (see docs/performance.md)
 ``sweep-status``  summarise the on-disk result cache (``--journal``:
-                  list sweep journals; ``<sweep_id> --follow``: live
-                  progress from the sweep's event stream; ``--json``:
-                  the same snapshot for scripts)
-``sweep-resume``  resume an interrupted sweep from its journal
+                  list sweeps from their logs; ``<sweep_id> --follow``:
+                  live progress from the sweep's log; ``--json``: the
+                  same snapshot for scripts)
+``sweep-resume``  resume an interrupted sweep from its log
 ``master``        run the distributed-sweep control plane (leases rows
                   to agents over HTTP; docs/distributed_execution.md)
 ``agent``         run one execution agent against a master
@@ -59,13 +59,15 @@ from repro.exec import (
     cache_status_rows,
     execute,
     experiment_spec,
-    find_journal,
+    find_sweep,
     format_bytes,
     journal_root,
-    journal_status_rows,
+    load_sweep,
     records_to_results,
     resolve_cache_dir,
+    sweep_status_rows,
 )
+from repro.exec.sweeplog import resume_counts
 from repro.experiments.faults import (
     DEFAULT_MTTF_VALUES,
     faults_rows,
@@ -89,11 +91,9 @@ from repro.experiments.table4 import run_table4, scaled_table4_stations
 from repro.obs import Observability, convert_jsonl_to_chrome
 from repro.obs.events import (
     EVENTS_SUFFIX,
-    events_path,
     list_event_streams,
-    load_events,
+    load_progress,
     render_progress,
-    replay_events,
 )
 from repro.obs.report import format_report, load_metrics
 from repro.simulation.config import SimulationConfig
@@ -133,7 +133,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--master-url", default=None, metavar="URL",
                         help="submit sweeps to a running `repro master` "
                              "instead of executing locally; the master owns "
-                             "the cache and journal "
+                             "the cache and sweep log "
                              "(docs/distributed_execution.md)")
     parser.add_argument("--sanitize", default=None,
                         choices=["off", "check", "strict"],
@@ -142,7 +142,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "(default: off, zero overhead)")
     parser.add_argument("--failpoints", default=None, metavar="SPEC",
                         help="arm deterministic fault-injection sites, "
-                             "e.g. 'journal.append.pre_write=torn:9' "
+                             "e.g. 'events.emit=torn:9@3' "
                              "(default: $REPRO_FAILPOINTS; see "
                              "docs/chaos_testing.md)")
     parser.add_argument("--obs-level", default="off",
@@ -192,7 +192,7 @@ def _supervision(args) -> Supervision:
     """Supervision options for this invocation.
 
     Records the original command line so ``repro sweep-resume`` can
-    replay it from the journal after a crash or interrupt.
+    replay it from the sweep log after a crash or interrupt.
     """
     return Supervision(
         run_timeout=getattr(args, "run_timeout", None),
@@ -483,37 +483,19 @@ def cmd_faults(args) -> int:
 
 
 def _sweep_progress(root, sweep_id: Optional[str]):
-    """Replay one sweep's event stream (exact or unique-prefix id;
-    ``None`` picks the most recently active stream)."""
-    streams = list_event_streams(root)
+    """Fold one sweep's log (exact or unique-prefix id; ``None`` picks
+    the most recently active log)."""
     if sweep_id is None:
+        streams = list_event_streams(root)
         if not streams:
             raise ConfigurationError(
-                f"no sweep event streams under {root} (sweeps emit them "
-                "whenever they are journaled)"
+                f"no sweep logs under {root} (sweeps write one whenever "
+                "a cache or journal directory is set)"
             )
         path = max(streams, key=lambda p: p.stat().st_mtime)
     else:
-        path = events_path(root, sweep_id)
-        if not path.is_file():
-            matches = [p for p in streams if p.name.startswith(sweep_id)]
-            if not matches:
-                raise ConfigurationError(
-                    f"no sweep event stream matches {sweep_id!r} under "
-                    f"{root} (see `repro sweep-status --journal`)"
-                )
-            if len(matches) > 1:
-                ids = ", ".join(
-                    p.name[: -len(EVENTS_SUFFIX)] for p in matches
-                )
-                raise ConfigurationError(
-                    f"sweep id {sweep_id!r} is ambiguous: matches {ids}"
-                )
-            path = matches[0]
-    progress = replay_events(load_events(path))
-    if not progress.sweep_id:
-        progress.sweep_id = path.name[: -len(EVENTS_SUFFIX)]
-    return progress
+        path = find_sweep(root, sweep_id)
+    return load_progress(path.parent, path.name[: -len(EVENTS_SUFFIX)])
 
 
 def _print_frame(text: str, previous: Optional[str]) -> None:
@@ -565,9 +547,9 @@ def cmd_sweep_status(args) -> int:
             print(render_progress(progress.to_dict()))
         return 0
     if args.journal:
-        rows = journal_status_rows(journal_root(cache.root))
+        rows = sweep_status_rows(root)
         if not rows:
-            print(f"no sweep journals under {journal_root(cache.root)}")
+            print(f"no sweep logs under {root}")
             return 0
         print(format_table(rows))
         interrupted = [row for row in rows if row["status"] == "interrupted"]
@@ -590,24 +572,26 @@ def cmd_sweep_status(args) -> int:
 def cmd_sweep_resume(args) -> int:
     """Replay an interrupted sweep's recorded command line.
 
-    Settled rows come back instantly from the journal/cache; only the
+    Settled rows come back instantly from the log/cache; only the
     pending remainder simulates.
     """
     root = journal_root(resolve_cache_dir(args.cache_dir))
-    state = find_journal(root, args.sweep_id)
-    if not state.argv:
+    progress = load_sweep(find_sweep(root, args.sweep_id))
+    if progress is None or not progress.argv:
         print(
-            f"sweep-resume: journal {state.sweep_id} predates command "
-            "recording; re-run the original command instead",
+            f"sweep-resume: the log of {args.sweep_id} records no command "
+            "line; re-run the original command instead",
             file=sys.stderr,
         )
         return 2
+    counts = resume_counts(progress)
     print(
-        f"resuming sweep {state.sweep_id}: {state.completed}/{state.total} "
-        f"rows done, {state.pending} pending, {state.poisoned} poisoned"
+        f"resuming sweep {progress.sweep_id}: {counts['completed']}/"
+        f"{progress.total} rows done, {counts['pending']} pending, "
+        f"{counts['poisoned']} poisoned"
     )
-    print(f"replaying: repro {' '.join(state.argv)}")
-    return main(state.argv)
+    print(f"replaying: repro {' '.join(progress.argv)}")
+    return main(progress.argv)
 
 
 def cmd_master(args) -> int:
@@ -773,16 +757,16 @@ def cmd_obs_top(args) -> int:
         while True:
             blocks: List[str] = []
             for path in list_event_streams(root):
-                progress = replay_events(load_events(path))
-                if not progress.sweep_id:
-                    progress.sweep_id = path.name[: -len(EVENTS_SUFFIX)]
+                progress = load_progress(
+                    root, path.name[: -len(EVENTS_SUFFIX)]
+                )
                 snapshot = progress.to_dict()
                 if args.all or snapshot["status"] == "in-flight":
                     blocks.append(render_progress(snapshot))
             if blocks:
                 body = "\n\n".join(blocks)
             elif args.all:
-                body = f"no sweep event streams under {root}"
+                body = f"no sweep logs under {root}"
             else:
                 body = (
                     f"no in-flight sweeps under {root} "
@@ -875,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep station counts",
         epilog="Sweeps fan out with --jobs and bank rows in the result "
                "cache (docs/parallel_execution.md); --run-timeout and the "
-               "resumable journal are in docs/resilient_execution.md.",
+               "resumable sweep log are in docs/resilient_execution.md.",
     )
     _add_common(p_sweep)
     _add_workload(p_sweep)
@@ -990,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_master = sub.add_parser(
         "master",
         help="run the distributed-sweep control plane",
-        epilog="The master owns the cache, journal, and event bus; "
+        epilog="The master owns the cache and the sweep logs; "
                "agents lease rows over HTTP and push results back.  "
                "Protocol, lease lifecycle, and failure attribution are "
                "documented in docs/distributed_execution.md.",
@@ -1057,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
                "docs/distributed_execution.md.",
     )
     p_chaos.add_argument("--quick", action="store_true",
-                         help="CI-smoke subset: cache, journal, events, "
+                         help="CI-smoke subset: cache, sweep log, "
                               "one cluster RPC")
     p_chaos.add_argument("--list", action="store_true",
                          help="print the scenario table and exit")
@@ -1071,11 +1055,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_status = sub.add_parser(
         "sweep-status",
         help="summarise the result cache, or follow a sweep live",
-        epilog="The result cache and sweep journals are documented in "
+        epilog="The result cache is documented in "
                "docs/parallel_execution.md (cache layout, content "
-               "addressing) and docs/resilient_execution.md (journals, "
-               "poisoned rows, sweep-resume); the progress event stream "
-               "behind --follow/--json is in docs/sweep_observability.md.",
+               "addressing).  Each journaled sweep keeps one log, "
+               "<cache>/journals/<sweep_id>.events.jsonl: --journal, "
+               "--follow, --json and sweep-resume all fold it.  Resume "
+               "and poisoned rows are in docs/resilient_execution.md; "
+               "the event schema behind --follow/--json is in "
+               "docs/sweep_observability.md.",
     )
     p_status.add_argument("sweep_id", nargs="?", default=None,
                           help="sweep id (or unique prefix) to report "
@@ -1087,11 +1074,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument("--clear", action="store_true",
                           help="delete every cached entry after reporting")
     p_status.add_argument("--journal", action="store_true",
-                          help="list sweep journals instead: completed / "
-                               "pending / poisoned counts per sweep")
+                          help="list sweeps from their logs instead: "
+                               "completed / pending / poisoned counts")
     p_status.add_argument("--follow", action="store_true",
-                          help="live progress view of the sweep's event "
-                               "stream; re-renders until it completes")
+                          help="live progress view of the sweep's log; "
+                               "re-renders until it completes")
     p_status.add_argument("--json", dest="json_out", action="store_true",
                           help="emit the progress snapshot as JSON (schema "
                                "repro-sweep-progress/2 — the exact document "
@@ -1104,8 +1091,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_resume = sub.add_parser(
         "sweep-resume",
-        help="resume an interrupted sweep from its journal",
-        epilog="Resumed sweeps replay the journalled invocation and "
+        help="resume an interrupted sweep from its log",
+        epilog="Resumed sweeps replay the logged invocation and "
                "produce rows byte-identical to an uninterrupted run — "
                "see docs/resilient_execution.md.",
     )
@@ -1113,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sweep id (or unique prefix) from "
                                "`repro sweep-status --journal`")
     p_resume.add_argument("--cache-dir", default=None, metavar="DIR",
-                          help="cache directory whose journals to search "
+                          help="cache directory whose sweep logs to search "
                                "(default: $REPRO_CACHE_DIR or .repro-cache)")
     p_resume.set_defaults(func=cmd_sweep_resume)
 
@@ -1136,14 +1123,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = sub.add_parser(
         "obs-top",
         help="live table of every in-flight sweep's progress",
-        epilog="Each journaled sweep appends progress events to "
-               "<sweep_id>.events.jsonl beside its journal; obs-top "
-               "replays every stream and re-renders, like top(1) for "
+        epilog="Each journaled sweep appends its events to one log, "
+               "<cache>/journals/<sweep_id>.events.jsonl; obs-top "
+               "folds every log and re-renders, like top(1) for "
                "sweeps.  The event schema is in "
                "docs/sweep_observability.md.",
     )
     p_top.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache directory whose journals to watch "
+                       help="cache directory whose sweep logs to watch "
                             "(default: $REPRO_CACHE_DIR or .repro-cache)")
     p_top.add_argument("--interval", type=float, default=2.0,
                        metavar="SECONDS",
@@ -1161,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="A and B may each be an obs artifact "
                "(objects/<digest>.obs.json), a --metrics document, a "
                "bench document (BENCH_*.json), any JSON list of rows, or "
-               "a sweep id resolved through the journal and obs artifact "
+               "a sweep id resolved through the sweep log and obs artifact "
                "store beside --cache-dir (B uses --cache-dir-b when "
                "given).  Exit 3 when any delta breaches the threshold — "
                "the CI regression contract.  Flattening rules and "
@@ -1195,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(excluded by default: pure noise between "
                              "byte-identical sweeps)")
     p_diff.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache whose journals/artifacts resolve "
+                        help="cache whose sweep logs/artifacts resolve "
                              "sweep-id sources (default: $REPRO_CACHE_DIR "
                              "or .repro-cache)")
     p_diff.add_argument("--cache-dir-b", default=None, metavar="DIR",
@@ -1210,7 +1197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
-    # Recorded in the sweep journal so `repro sweep-resume` can replay
+    # Recorded in the sweep log so `repro sweep-resume` can replay
     # this exact invocation.
     args._argv = argv
     _apply_sanitize(args)

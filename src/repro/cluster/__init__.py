@@ -2,9 +2,9 @@
 
 ``repro.cluster`` lifts the sweep executor across machines without
 changing what a sweep *means*: the master owns the same
-content-addressed result cache, append-only journal, and progress
-event bus a local sweep uses, and agents run leased rows through the
-same supervised retry/poison machinery a local pool would.  The
+content-addressed result cache and append-only sweep log a local
+sweep uses, and agents run leased rows through the same supervised
+retry/poison machinery a local pool would.  The
 network is a transport, never a semantic: a sweep executed by one
 local worker, two loopback agents, or agents joining and dying
 mid-sweep produces byte-identical cached results and an identical

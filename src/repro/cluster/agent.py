@@ -6,7 +6,7 @@ machinery — :func:`~repro.exec.supervisor.attempt_serial` for one
 local worker, a :class:`~repro.exec.supervisor.SupervisedPool` for
 several — and pushes each outcome back the moment it settles, so the
 master's crash-safety window stays one row, exactly like a local
-sweep.  The agent itself caches nothing and journals nothing: the
+sweep.  The agent itself caches nothing and logs nothing: the
 master is the single authority, which is what makes results
 byte-identical regardless of which agent (or how many) ran a row.
 
@@ -129,7 +129,7 @@ class ClusterAgent:
         }
         digests = {int(row["index"]): str(row["digest"]) for row in rows}
         # The master counts expired-lease retries; continue its chain
-        # so the journal's ``attempts`` reflects the whole story.
+        # so the logged ``attempts`` reflects the whole story.
         base_attempt = {
             int(row["index"]): max(0, int(row.get("attempt", 1)) - 1)
             for row in rows

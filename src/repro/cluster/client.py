@@ -3,7 +3,7 @@
 This is what :func:`repro.exec.executor.execute` delegates to when
 ``Supervision.master_url`` is set.  The client serialises the sweep's
 specs to their canonical wire form, submits them to the master —
-which plans against **its** cache and journal, so resubmitting an
+which plans against **its** cache and sweep log, so resubmitting an
 interrupted sweep resumes it — then polls the sweep's state until it
 completes and fetches the settled :class:`RunRecord` rows, in spec
 order, exactly as a local ``execute`` would have returned them.

@@ -1,16 +1,16 @@
 """``repro master``: the sweep control plane.
 
 The master is the *authority* side of a distributed sweep: it owns
-the result cache, the sweep journal, the obs artifact store, and the
-progress event bus — the exact same four stores a local sweep uses,
-rooted at the same ``--cache-dir``.  Sweeps arrive over HTTP from
+the result cache, the sweep log, and the obs artifact store — the
+exact same stores a local sweep uses, rooted at the same
+``--cache-dir``.  Sweeps arrive over HTTP from
 ``--master-url`` clients as lists of canonical spec documents; the
 master plans them with the executor's own
-:func:`~repro.exec.executor.plan_rows` (cache probe, journal resume,
+:func:`~repro.exec.executor.plan_rows` (cache probe, log resume,
 artifact hit/miss — identical semantics), queues the pending rows,
 and leases them in batches to registered agents.  Every pushed result
 lands through :func:`~repro.exec.executor.persist_outcome`, the same
-single write path the local executor flushes through, so journals and
+single write path the local executor flushes through, so logs and
 caches merge cleanly no matter who settled a row.
 
 Failure attribution (see docs/distributed_execution.md): an agent
@@ -38,15 +38,9 @@ from repro import failpoints
 from repro.errors import ClusterError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import RunRecord, persist_outcome, plan_rows
-from repro.exec.journal import (
-    SweepJournal,
-    journal_root,
-    load_journal,
-    sweep_id_for,
-)
 from repro.exec.spec import spec_digest
 from repro.exec.supervisor import Supervision
-from repro.obs.events import EVENTS_VERSION, SweepEventBus
+from repro.exec.sweeplog import journal_root, open_sweep_log, sweep_id_for
 from repro.obs.store import ObsArtifactStore
 from repro.cluster.protocol import (
     API_PREFIX,
@@ -98,26 +92,16 @@ class MasterSweep:
         self.options = options
         self.cache = cache
         self.obs_level = obs_level
-        root = journal_root(cache.root)
-        self.journal = SweepJournal(root, sweep_id)
-        prior = load_journal(self.journal.path)
-        self.journal.begin(argv, digests)
-        self.bus = SweepEventBus(root, sweep_id)
+        # jobs=0: distributed, the worker count is the agents' affair.
+        self.bus, settled_prior = open_sweep_log(
+            journal_root(cache.root), digests, argv, jobs=0,
+            obs_level=obs_level,
+        )
         self.store: Optional[ObsArtifactStore] = (
             ObsArtifactStore(cache.root, level=obs_level)
             if obs_level != "off"
             else None
         )
-        self.bus.emit(
-            "sweep_begin",
-            version=EVENTS_VERSION,
-            sweep_id=sweep_id,
-            total=len(set(digests)),
-            jobs=0,  # distributed: worker count is the agents' affair
-            obs_level=obs_level,
-            argv=list(argv or []),
-        )
-        settled_prior = prior.settled_runs() if prior is not None else {}
         self.records, self.pending = plan_rows(
             specs,
             digests,
@@ -126,7 +110,7 @@ class MasterSweep:
             settled_prior,
             self.bus,
             sweep_id=sweep_id,
-            journal_file=str(self.journal.path),
+            journal_file=str(self.bus.path),
         )
         #: Lead-index outcome for every executed digest.
         self.outcomes: Dict[int, Dict[str, Any]] = {}
@@ -172,8 +156,6 @@ class MasterSweep:
         if self.ended:
             return
         self.ended = True
-        if self.outcomes:
-            self.journal.end("complete")
         self.bus.emit(
             "sweep_end", status="complete", settled=self.settled
         )
@@ -245,7 +227,6 @@ class MasterSweep:
             digest,
             outcome,
             self.cache,
-            self.journal,
             self.bus,
         )
         self.bus.emit(
@@ -304,7 +285,6 @@ class MasterSweep:
                     row.digest,
                     outcome,
                     self.cache,
-                    self.journal,
                     self.bus,
                 )
         if expired:
@@ -328,7 +308,7 @@ class MasterSweep:
     def record_rows(self) -> List[Dict[str, Any]]:
         """Every spec's RunRecord as a JSON-able row, in spec order."""
         rows: List[Dict[str, Any]] = []
-        journal_file = str(self.journal.path)
+        journal_file = str(self.bus.path)
         for index, spec in enumerate(self.specs):
             digest = self.digests[index]
             record = self.records.get(index)

@@ -73,7 +73,7 @@ class SanitizeError(ReproError):
 class SweepInterrupted(ReproError):
     """A supervised sweep stopped before finishing (SIGINT/SIGTERM).
 
-    Completed rows are already flushed to the sweep journal and result
+    Completed rows are already flushed to the sweep log and result
     cache; :attr:`resume_command` re-runs only the remainder.
     """
 

@@ -30,23 +30,19 @@ from repro.exec.executor import (
     require_ok,
 )
 from repro.exec.hashing import canonical, canonical_json, code_salt
-from repro.exec.journal import (
-    JournalState,
-    SweepJournal,
-    find_journal,
-    journal_root,
-    journal_status_rows,
-    list_journals,
-    load_journal,
-    sweep_id_for,
-)
 from repro.exec.retry import RetryPolicy, retry_call
 from repro.exec.spec import RunSpec, derive_seed, experiment_spec, spec_digest
+from repro.exec.sweeplog import (
+    find_sweep,
+    journal_root,
+    load_sweep,
+    sweep_id_for,
+    sweep_status_rows,
+)
 from repro.exec.supervisor import Supervision, SupervisedPool
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "JournalState",
     "ResultCache",
     "RetryPolicy",
     "RunRecord",
@@ -54,7 +50,6 @@ __all__ = [
     "SupervisedPool",
     "Supervision",
     "SweepFailure",
-    "SweepJournal",
     "cache_status_rows",
     "format_bytes",
     "canonical",
@@ -63,15 +58,14 @@ __all__ = [
     "derive_seed",
     "execute",
     "experiment_spec",
-    "find_journal",
+    "find_sweep",
     "journal_root",
-    "journal_status_rows",
-    "list_journals",
-    "load_journal",
+    "load_sweep",
     "records_to_results",
     "require_ok",
     "resolve_cache_dir",
     "retry_call",
     "spec_digest",
     "sweep_id_for",
+    "sweep_status_rows",
 ]

@@ -1,7 +1,7 @@
-"""The sweep executor: cache probe, supervised workers, journaling.
+"""The sweep executor: cache probe, supervised workers, the sweep log.
 
 :func:`execute` takes a list of :class:`~repro.exec.spec.RunSpec`,
-probes the result cache *and* the sweep journal, deduplicates
+probes the result cache *and* the sweep log, deduplicates
 identical specs, runs the misses — in-process for ``jobs == 1``,
 across a :class:`~repro.exec.supervisor.SupervisedPool` otherwise —
 and returns one :class:`RunRecord` per spec **in spec order**,
@@ -10,15 +10,15 @@ regardless of worker scheduling.
 Robustness (see docs/resilient_execution.md):
 
 * every settled row is flushed to the cache **and** the append-only
-  sweep journal the moment it exists, so a crash costs at most the
-  rows in flight;
+  sweep log the moment it exists, so a crash costs at most the rows
+  in flight;
 * workers are supervised — death, hang, and timeout are detected and
   the task re-dispatched with bounded backoff retries; deterministic
   :class:`~repro.errors.ReproError` failures are poisoned instead of
   retried;
 * the first SIGINT/SIGTERM drains in-flight runs, flushes, and raises
-  :class:`~repro.errors.SweepInterrupted` carrying the journal path
-  and the exact ``repro sweep-resume`` command.
+  :class:`~repro.errors.SweepInterrupted` carrying the log path and
+  the exact ``repro sweep-resume`` command.
 
 Failure is data, not control flow: a run that raises yields a record
 with ``status == "error"`` and the worker's traceback instead of
@@ -48,32 +48,26 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import failpoints
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
 from repro.exec.cache import ResultCache
-from repro.exec.journal import (
-    JournalState,
-    SweepJournal,
-    journal_root,
-    load_journal,
-    sweep_id_for,
-)
 from repro.exec.spec import RunSpec, run_spec, spec_digest
+from repro.exec.sweeplog import journal_root, open_sweep_log
 from repro.exec.supervisor import (
     GracefulSignals,
     SupervisedPool,
     Supervision,
     attempt_serial,
 )
-from repro.obs.events import EVENTS_VERSION, SweepEventBus
+from repro.obs.events import SweepEventBus
 from repro.obs.store import ObsArtifactStore
 from repro.simulation.results import SimulationResult
 
 #: Failpoint sites bracketing the shared settle/persist path.
 SITE_PERSIST_PRE = failpoints.register_site(
     "executor.persist.pre",
-    "a run settled, nothing flushed yet (cache/journal/bus pending)",
+    "a run settled, nothing flushed yet (cache and log pending)",
 )
 SITE_PERSIST_POST = failpoints.register_site(
     "executor.persist.post",
-    "one settled row fully flushed to cache, journal, and bus",
+    "one settled row fully flushed to the cache and the log",
 )
 
 #: Failure summaries embedded in a SweepFailure message (the full
@@ -124,9 +118,10 @@ class RunRecord:
     attempts: int = 1
     #: True when the failure was deterministic (quarantined, no retry).
     poisoned: bool = False
-    #: True when the row was recovered from a sweep journal.
+    #: True when the row was recovered from the sweep log.
     resumed: bool = False
-    #: Sweep provenance (set when the sweep was journaled).
+    #: Sweep provenance (set when the sweep was journaled);
+    #: ``journal_path`` names the sweep log.
     sweep_id: str = ""
     journal_path: str = ""
 
@@ -173,14 +168,15 @@ def plan_rows(
     """The lease-aware sweep planner: split specs into settled records
     and pending work.
 
-    Probes the result cache, the obs artifact store, and the prior
-    journal rows for every spec, emitting the plan-time events
-    (``cache_hit``/``journal_hit``/``artifact_hit``/``artifact_miss``)
-    on ``bus``.  Returns ``(records, pending)`` where ``records`` maps
-    already-settled indices to their :class:`RunRecord` and ``pending``
-    maps each digest still owed to the spec indices wanting it (the
-    first index of each group is the *lead* — the one actually
-    dispatched; duplicates are filled at collect time).
+    Probes the result cache, the obs artifact store, and the rows
+    earlier sessions settled in the sweep log for every spec, emitting
+    the plan-time events (``cache_hit``/``journal_hit``/
+    ``artifact_hit``/``artifact_miss``) on ``bus``.  Returns
+    ``(records, pending)`` where ``records`` maps already-settled
+    indices to their :class:`RunRecord` and ``pending`` maps each
+    digest still owed to the spec indices wanting it (the first index
+    of each group is the *lead* — the one actually dispatched;
+    duplicates are filled at collect time).
 
     This is the single planning path for both the local executor and
     the cluster master (:mod:`repro.cluster.master`), so a sweep
@@ -274,15 +270,14 @@ def persist_outcome(
     digest: str,
     outcome: Dict[str, Any],
     cache: Optional[ResultCache],
-    journal: Optional[SweepJournal],
     bus: Optional[SweepEventBus],
 ) -> None:
-    """Flush one settled outcome to the cache, journal, and event bus.
+    """Flush one settled outcome to the cache and the sweep log.
 
     The single write path shared by the local executor and the cluster
     master: whoever settles a run — an in-process worker or a remote
     agent pushing its result — the row lands in the same stores with
-    the same shape, so caches and journals merge cleanly.
+    the same shape, so caches and logs merge cleanly.
     """
     failpoints.fire(SITE_PERSIST_PRE)
     if cache is not None and outcome["status"] == "ok":
@@ -296,9 +291,11 @@ def persist_outcome(
                 "duration_s": outcome["duration_s"],
             },
         )
-    if journal is not None:
-        journal.record_run(
-            digest,
+    if bus is not None:
+        bus.emit(
+            "run_settled",
+            index=index,
+            digest=digest,
             kind=spec.kind,
             label=spec.describe(),
             status=outcome["status"],
@@ -308,53 +305,7 @@ def persist_outcome(
             attempts=outcome.get("attempt", 1),
             poisoned=outcome.get("poison", False),
         )
-    if bus is not None:
-        bus.emit(
-            "run_settled",
-            index=index,
-            digest=digest,
-            kind=spec.kind,
-            label=spec.describe(),
-            status=outcome["status"],
-            duration_s=outcome["duration_s"],
-            attempts=outcome.get("attempt", 1),
-            poisoned=outcome.get("poison", False),
-        )
     failpoints.fire(SITE_PERSIST_POST)
-
-
-def _open_journal(
-    supervision: Supervision,
-    cache: Optional[ResultCache],
-    digests: Sequence[str],
-) -> Tuple[
-    Optional[SweepJournal], Optional[JournalState], Optional[SweepEventBus]
-]:
-    """The sweep's journal (plus prior state and its progress event
-    bus), or ``(None, None, None)``.
-
-    Journaling defaults to on exactly when a cache is present: the
-    journal lives beside it, and ``--no-cache`` runs are explicitly
-    ephemeral.  ``supervision.journal``/``journal_dir`` override both
-    halves of that default.  The event bus shares the journal
-    directory (``<sweep_id>.events.jsonl``) and the journal's
-    lifetime: every journaled sweep is followable, at any obs level.
-    """
-    enabled = supervision.journal
-    if enabled is None:
-        enabled = cache is not None or supervision.journal_dir is not None
-    if not enabled:
-        return None, None, None
-    if supervision.journal_dir is not None:
-        root = supervision.journal_dir
-    elif cache is not None:
-        root = journal_root(cache.root)
-    else:
-        return None, None, None
-    journal = SweepJournal(root, sweep_id_for(digests))
-    prior = load_journal(journal.path)
-    journal.begin(supervision.argv, list(digests))
-    return journal, prior, SweepEventBus(root, journal.sweep_id)
 
 
 def execute(
@@ -368,7 +319,7 @@ def execute(
 
     Raises :class:`~repro.errors.SweepInterrupted` when a first
     SIGINT/SIGTERM arrives mid-sweep: in-flight runs drain, settled
-    rows are already flushed, and the exception names the journal and
+    rows are already flushed, and the exception names the sweep log and
     the resume command.
     """
     if jobs < 1:
@@ -406,24 +357,20 @@ def execute(
 
     with phase("plan"):
         digests = [spec_digest(spec) for spec in specs]
-        journal, prior, bus = (
-            _open_journal(supervision, cache, digests)
-            if len(specs) > 1
-            else (None, None, None)
-        )
-        sweep_id = journal.sweep_id if journal is not None else ""
-        journal_file = str(journal.path) if journal is not None else ""
-        if bus is not None:
-            bus.emit(
-                "sweep_begin",
-                version=EVENTS_VERSION,
-                sweep_id=sweep_id,
-                total=len(set(digests)),
-                jobs=jobs,
+        # Logging is on exactly when a cache or a journal directory is
+        # present: ``--no-cache`` runs are explicitly ephemeral.
+        root = supervision.journal_dir
+        if root is None and cache is not None:
+            root = journal_root(cache.root)
+        bus: Optional[SweepEventBus] = None
+        settled_prior: Dict[str, Dict[str, Any]] = {}
+        if root is not None and len(specs) > 1:
+            bus, settled_prior = open_sweep_log(
+                root, digests, supervision.argv, jobs=jobs,
                 obs_level=obs.level.value if obs is not None else "off",
-                argv=list(supervision.argv or []),
             )
-        settled_prior = prior.settled_runs() if prior is not None else {}
+        sweep_id = bus.sweep_id if bus is not None else ""
+        journal_file = str(bus.path) if bus is not None else ""
         records, pending = plan_rows(
             specs, digests, cache, store, settled_prior, bus,
             sweep_id=sweep_id, journal_file=journal_file,
@@ -434,11 +381,10 @@ def execute(
     outcomes: Dict[int, Dict[str, Any]] = {}
 
     def flush(index: int, outcome: Dict[str, Any]) -> None:
-        """Persist one settled outcome to cache + journal immediately."""
+        """Persist one settled outcome to the cache and log immediately."""
         outcomes[index] = outcome
-        digest = index_digest[index]
         persist_outcome(
-            specs[index], index, digest, outcome, cache, journal, bus
+            specs[index], index, index_digest[index], outcome, cache, bus
         )
 
     retries = 0
@@ -553,8 +499,6 @@ def execute(
                 run_seconds.record(outcome["duration_s"])
 
     if interrupted is not None:
-        if journal is not None:
-            journal.end("interrupted")
         if bus is not None:
             bus.emit(
                 "sweep_end", status="interrupted", settled=len(records)
@@ -571,8 +515,6 @@ def execute(
             signal_name=interrupted,
         )
 
-    if journal is not None and outcomes:
-        journal.end("complete")
     if bus is not None:
         bus.emit("sweep_end", status="complete", settled=len(records))
         bus.close()

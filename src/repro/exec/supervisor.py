@@ -26,10 +26,10 @@ The bare ``Pool.imap_unordered`` executor had three blind spots:
   deterministic :class:`~repro.errors.ReproError` failures are
   **poisoned**: re-running identical code on an identical spec would
   fail identically, so they settle immediately and are quarantined in
-  the journal (a resume will not re-run them either).
+  the sweep log (a resume will not re-run them either).
 
 Outcomes are yielded *as they settle*, so the executor can flush each
-row to the cache and journal the moment it exists — the crash-safety
+row to the cache and sweep log the moment it exists — the crash-safety
 window is one row, not one sweep.
 """
 
@@ -91,10 +91,8 @@ class Supervision:
     heartbeat_timeout: float = 30.0
     #: Where heartbeat files live (default: a private temp dir).
     heartbeat_dir: Optional[Path] = None
-    #: Journaling: ``None`` = auto (journal when a cache is present),
-    #: ``True``/``False`` force it on/off.
-    journal: Optional[bool] = None
-    #: Journal directory override (default: ``<cache root>/journals``).
+    #: Sweep-log directory (default: ``<cache root>/journals``).  A
+    #: sweep is logged exactly when a cache or this directory is set.
     journal_dir: Optional[Path] = None
     #: The command line to record for ``repro sweep-resume``.
     argv: Optional[List[str]] = None
@@ -103,7 +101,7 @@ class Supervision:
     handle_signals: bool = True
     #: Submit the sweep to a running ``repro master`` at this URL
     #: instead of executing locally (see docs/distributed_execution.md).
-    #: The master owns the cache/journal; ``jobs`` and ``cache`` of the
+    #: The master owns the cache and log; ``jobs`` and ``cache`` of the
     #: local invocation are ignored in that mode.
     master_url: Optional[str] = None
 

@@ -1,9 +1,12 @@
 """Deterministic failpoints for the execution stack.
 
 A *failpoint* is a named site at an I/O boundary — ``cache.write
-.pre_rename``, ``journal.append.post_write``, ``events.emit`` — where
-a fault can be injected on demand: a hard crash, a partial (torn)
+.pre_rename``, ``executor.persist.post``, ``events.emit`` — where a
+fault can be injected on demand: a hard crash, a partial (torn)
 write, an exception of a chosen kind, a disk-full error, or a delay.
+The sweep log has one site, ``events.emit``, passed by every append
+(durable ``sweep_begin``/``run_settled``/``sweep_end`` records and
+advisory events alike), so an ``@N`` hit count chooses the record.
 Sites are declared where they live (``register_site`` at module
 import) and triggered inline with :func:`fire`, which is a single
 dict lookup when no failpoints are armed — the zero-cost-when-off
@@ -12,7 +15,7 @@ contract that lets every write path carry its sites permanently.
 Activation is environment-driven so forked/spawned workers and
 subprocesses inherit it::
 
-    REPRO_FAILPOINTS="journal.append.pre_write=torn:9"
+    REPRO_FAILPOINTS="events.emit=torn:9@3"
     REPRO_FAILPOINTS="cache.write.pre_rename=crash@2;events.emit=delay:5"
 
 Grammar (rules joined with ``;``)::
@@ -120,7 +123,6 @@ _SITES: Dict[str, str] = {}
 #: site without guessing.
 SITE_MODULES = (
     "repro.exec.cache",
-    "repro.exec.journal",
     "repro.exec.executor",
     "repro.exec.supervisor",
     "repro.obs.events",

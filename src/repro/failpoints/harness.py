@@ -1,7 +1,7 @@
 """Crash-consistency harness: ``repro chaos``.
 
-Every store in the execution stack — result cache, sweep journal,
-progress event stream, obs artifact store, the cluster RPC plane —
+Every store in the execution stack — result cache, sweep log, obs
+artifact store, the cluster RPC plane —
 claims to survive being killed at its worst moment.  This harness
 *collects* on those claims.  For each scenario it runs the same small
 reference sweep three ways:
@@ -33,8 +33,8 @@ as subprocesses and inject the fault into the chosen party (client,
 agent, or master), including killing an agent mid-push and letting a
 clean replacement finish the sweep.
 
-``--quick`` runs the CI-smoke subset (cache, journal, events, one
-cluster RPC); the full set also covers the obs store, the worker
+``--quick`` runs the CI-smoke subset (cache, sweep log, one cluster
+RPC); the full set also covers the obs store, the worker
 pool, ENOSPC degradation, and a corrupt-cache round trip.  See
 ``docs/chaos_testing.md``.
 """
@@ -71,8 +71,11 @@ class ChaosError(ReproError):
 
 
 #: The reference sweep every scenario runs: small enough to finish in
-#: well under a second per run, rich enough to exercise cache, journal,
-#: events, and obs-store writes for three distinct rows.
+#: well under a second per run, rich enough to exercise cache, sweep
+#: log, and obs-store writes for three distinct rows.  At ``jobs=1`` its
+#: log appends are, in order: ``sweep_begin``, then ``run_leased`` and
+#: ``run_settled`` per row, then ``sweep_end`` — the ``@N`` hit counts
+#: of the ``events.emit`` scenarios below pick records by that order.
 SWEEP_SCALE = 50
 SWEEP_VALUES: Tuple[int, ...] = (4, 8, 12)
 
@@ -98,8 +101,8 @@ class Scenario:
     respawn_agent: bool = False
     #: Acceptable exit codes for the faulted run.
     expect: Tuple[int, ...] = (0, 2, _CRASH)
-    #: False when the fault degrades the event stream itself (ENOSPC
-    #: on the bus): rows must still converge, the digest cannot.
+    #: False when the fault degrades the sweep log itself (ENOSPC):
+    #: rows must still converge, the digest cannot.
     check_events: bool = True
     #: Corruption round trip instead of a failpoint (spec unused).
     corrupt_cache: bool = False
@@ -123,23 +126,23 @@ def chaos_plan(quick: bool = False) -> List[Scenario]:
             expect=(_CRASH,),
         ),
         Scenario(
-            "journal-append-torn",
-            "journal.append.pre_write=torn:9",
-            "journal tail torn mid-record, then killed",
+            "log-settle-torn",
+            "events.emit=torn:9@3",
+            "first run_settled record torn mid-write, then killed",
             quick=True,
             expect=(_CRASH,),
         ),
         Scenario(
-            "journal-append-crash",
-            "journal.append.post_write=crash",
-            "killed right after a journal record was fsynced",
+            "log-settle-crash",
+            "events.emit=crash@6",
+            "killed right after the second run_settled was fsynced",
             quick=True,
             expect=(_CRASH,),
         ),
         Scenario(
             "events-emit-torn",
             "events.emit=torn:7",
-            "progress event stream torn mid-record, then killed",
+            "sweep_begin torn mid-write, then killed",
             quick=True,
             expect=(_CRASH,),
         ),
@@ -186,7 +189,7 @@ def chaos_plan(quick: bool = False) -> List[Scenario]:
         Scenario(
             "cache-rename-crash",
             "cache.write.post_rename=crash",
-            "killed with the cache record in place, journal behind",
+            "killed with the cache record in place, log behind",
             expect=(_CRASH,),
         ),
         Scenario(
@@ -210,7 +213,7 @@ def chaos_plan(quick: bool = False) -> List[Scenario]:
         Scenario(
             "events-enospc",
             "events.emit=enospc",
-            "disk full on the event bus: advisory stream goes dark",
+            "disk full on the sweep log: it goes dark, cache answers",
             expect=(0,),
             check_events=False,
         ),
@@ -472,7 +475,7 @@ def _run_corruption(
     record = json.loads(victim.read_text())
     record.setdefault("payload", {})["corrupted"] = True  # checksum now lies
     victim.write_text(json.dumps(record) + "\n")
-    # Remove the journal + event stream so only the cache can answer —
+    # Remove the sweep log so only the cache can answer —
     # the corrupt object must be caught by its checksum, not masked.
     shutil.rmtree(cache / "journals", ignore_errors=True)
     rerun = _run(cmd, _base_env())
@@ -591,7 +594,7 @@ def _run_cluster(
         for agent in agents:
             _stop(agent)
         _stop(master)
-    # The master owns the cache/journal/events for submitted sweeps.
+    # The master owns the cache and sweep log for submitted sweeps.
     _assert_converged(scenario, baseline, cache, rows)
 
 

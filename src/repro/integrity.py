@@ -1,9 +1,9 @@
 """Object integrity + graceful degradation for best-effort stores.
 
-The result cache, sweep journal, event stream, and obs artifact store
-are all *accelerators or observers* of a sweep, not the computation
-itself — a corrupt object or a full disk must never turn a healthy
-sweep into a wrong or failed one.  This module centralises what every
+The result cache, sweep log, and obs artifact store are all
+*accelerators or observers* of a sweep, not the computation itself —
+a corrupt object or a full disk must never turn a healthy sweep into
+a wrong or failed one.  This module centralises what every
 such store needs (deliberately dependency-light: it is imported from
 both the ``exec`` and ``obs`` layers, below either):
 

@@ -19,7 +19,7 @@ Accepted sources (auto-detected):
 * an **obs-overhead document** (``BENCH_obs_overhead.json``: a list of
   per-level rows) — and, generically, any JSON list of flat dicts;
 * a **sweep id** (when the argument is not a file): resolved through
-  the journal beside the result cache, loading every settled run's
+  the sweep log beside the result cache, loading every settled run's
   stored artifact from the obs artifact store.
 
 Flattening: every numeric leaf of every run snapshot becomes one key,
@@ -190,7 +190,7 @@ def load_metrics_source(
 
     Returns ``{"label": ..., "kind": ..., "metrics": {key: value}}``.
     A path that exists is parsed by shape; anything else is treated as
-    a sweep id and resolved through the journal + obs artifact store
+    a sweep id and resolved through the sweep log + obs artifact store
     beside ``cache_root`` (required in that case).
     """
     path = Path(source)
@@ -251,14 +251,16 @@ def _load_sweep(
     sweep_id: str, cache_root: Path, include_profile: bool
 ) -> Dict[str, Any]:
     """Resolve a sweep id to the union of its runs' stored artifacts."""
-    from repro.exec.journal import find_journal, journal_root
+    from repro.exec.sweeplog import find_sweep, journal_root, load_sweep
     from repro.obs.store import ObsArtifactStore
 
-    state = find_journal(journal_root(cache_root), sweep_id)
+    progress = load_sweep(find_sweep(journal_root(cache_root), sweep_id))
+    if progress is None:
+        raise ConfigurationError(f"sweep {sweep_id} never began")
     store = ObsArtifactStore(cache_root)
     runs: List[Dict[str, Any]] = []
     missing = 0
-    for digest in sorted(state.runs):
+    for digest in sorted(progress.settled):
         artifact = store.get(digest)
         if artifact is None:
             missing += 1
@@ -266,13 +268,13 @@ def _load_sweep(
         runs.extend(artifact.get("runs", []))
     if not runs:
         raise ConfigurationError(
-            f"sweep {state.sweep_id} has no stored obs artifacts "
-            f"({missing} of {len(state.runs)} runs missing) — re-run it "
-            "with --obs-level metrics to populate the store"
+            f"sweep {progress.sweep_id} has no stored obs artifacts "
+            f"({missing} of {len(progress.settled)} runs missing) — re-run "
+            "it with --obs-level metrics to populate the store"
         )
     runs.sort(key=lambda run: str(run.get("label", "")))
     source = {
-        "label": f"sweep:{state.sweep_id}",
+        "label": f"sweep:{progress.sweep_id}",
         "kind": "sweep",
         "metrics": flatten_runs(runs, include_profile=include_profile),
     }

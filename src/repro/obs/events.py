@@ -1,27 +1,24 @@
-"""Sweep-scope progress events: the live observability bus.
+"""The sweep log: one append-only ``<sweep_id>.events.jsonl`` per sweep.
 
-While the per-run telemetry of :mod:`repro.obs` answers "what did one
-simulation do", a week-long parameter study needs the *sweep* itself
-to be observable: which rows are done, which worker holds which run,
-how often retries fire, and when the grid will finish.  The
-:class:`SweepEventBus` gives every journaled sweep an **append-only
-``<sweep_id>.events.jsonl``** file beside its journal, onto which the
-executor and the supervised pool emit structured progress events as
-they happen:
+Every journaled sweep writes a single log under ``<cache>/journals``.
+It is both the sweep's checkpoint (resume folds it) and its live
+progress stream (``repro sweep-status --follow`` and ``repro obs-top``
+fold it too).  The executor, the supervised pool, and a cluster
+master append structured events to it as they happen:
 
 ===================  ====================================================
 event                emitted when
 ===================  ====================================================
-``sweep_begin``      the executor opens the sweep (total, argv, jobs)
+``sweep_begin``      a session opens the sweep (argv, digests, total)
 ``cache_hit``        a row is served from the result cache at plan time
-``journal_hit``      a row is recovered from a prior journal (resume)
+``journal_hit``      a row is recovered from the log's prior settles
 ``artifact_hit``     a cached row's obs artifact was reused
 ``artifact_miss``    a cached row lacked its obs artifact (re-executed)
 ``worker_spawned``   the pool starts a worker process
 ``worker_died``      a worker is reaped (death / timeout / hung)
 ``run_leased``       a run is dispatched to a worker (or runs in-process)
 ``run_retried``      a transient failure is re-queued with backoff
-``run_settled``      a run reaches its final state (ok / error / poison)
+``run_settled``      a run reaches its final state, payload included
 ``heartbeat``        ~1/s while the pool is draining (in-flight counts)
 ``sweep_end``        the sweep completes or is gracefully interrupted
 ``agent_registered`` a cluster agent joins the master (cores, host)
@@ -37,30 +34,38 @@ docs/distributed_execution.md); purely local sweeps never produce
 them, and :func:`replay_events` folds them into the ``agents`` table
 of the progress snapshot.
 
-Because heartbeats dominate the stream byte count on long sweeps, the
-bus **compacts consecutive heartbeat events on reopen** (keeping the
-latest per emitting source) before appending a new session's events —
-see :func:`compact_heartbeat_lines`.  Compaction never changes what
-:func:`replay_events` folds to, only how many superseded heartbeat
-lines the file retains.
+**Durable and advisory records.**  ``sweep_begin``, ``run_settled``
+and ``sweep_end`` (:data:`DURABLE_EVENTS`) are state: each is one
+``os.write`` on an ``O_APPEND`` descriptor, under an exclusive
+``flock`` that also covers the torn-tail repair, then fsynced.  A
+crash tears at most the last line, which :func:`load_events` skips.
+Every other event is advisory: written the same way but not fsynced,
+and its errors are swallowed.  A full disk (ENOSPC/EDQUOT) on any
+append degrades the whole log with one warning; the sweep continues
+and a resume relies on the result cache.
 
-The bus is *advisory*: appends are flushed (so ``tail -f`` and
-``repro sweep-status --follow`` see them immediately and they survive
-a killed process) but not fsynced, emission failures are swallowed,
-and :func:`load_events` tolerates a torn tail exactly like the sweep
-journal — observability must never be able to fail a sweep.
+Because heartbeats dominate the byte count on long sweeps, the log
+**compacts consecutive heartbeat events on reopen** (keeping the
+latest per emitting source) before a new session appends — see
+:func:`compact_heartbeat_lines`.  Compaction holds the same lock as
+appends, and an append whose descriptor no longer names the path
+reopens it, so a concurrent settler never loses a record to the
+rewrite.  Compaction never changes what :func:`replay_events` folds
+to.
 
-:func:`replay_events` folds an event stream into a
-:class:`SweepProgress` snapshot — the one schema shared by
-``repro sweep-status --json``, the ``--follow`` live renderer, and
-``repro obs-top``.
+:func:`replay_events` folds a log into a :class:`SweepProgress`: the
+resume state (:meth:`SweepProgress.settled_runs`, ``argv``, ``total``,
+``status``) and the snapshot schema shared by ``repro sweep-status
+--json``, the ``--follow`` live renderer, and ``repro obs-top``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,23 +76,27 @@ from repro.integrity import out_of_space, warn_degraded
 
 PathLike = Union[str, Path]
 
-#: Failpoint site inside the advisory emit path — injected errors
-#: must be swallowed here; that *is* the invariant under test.
+#: Failpoint site inside every append, lock held, before the write
+#: (torn-capable).  Durable and advisory records both pass it, so an
+#: ``@N`` hit count picks which record a fault lands on.
 SITE_EVENTS_EMIT = failpoints.register_site(
     "events.emit",
-    "inside SweepEventBus.emit, before the flush (torn-capable)",
+    "inside SweepEventBus.emit, lock held, before the write (torn-capable)",
 )
 
-#: Event-stream format version (bumped on incompatible changes).
+#: Log format version (bumped on incompatible changes).
 EVENTS_VERSION = 1
 
-#: Filename suffix distinguishing event streams from journals in the
-#: shared journal directory.
+#: Filename suffix of sweep logs in the journal directory.
 EVENTS_SUFFIX = ".events.jsonl"
+
+#: Records that carry sweep state: fsynced, and their I/O errors
+#: (other than a full disk) propagate.
+DURABLE_EVENTS = frozenset({"sweep_begin", "run_settled", "sweep_end"})
 
 
 def events_path(root: PathLike, sweep_id: str) -> Path:
-    """The event-stream file for ``sweep_id`` under journal ``root``."""
+    """The sweep log for ``sweep_id`` under journal directory ``root``."""
     return Path(root) / f"{sweep_id}{EVENTS_SUFFIX}"
 
 
@@ -135,47 +144,97 @@ def compact_heartbeat_lines(lines: List[str]) -> List[str]:
     return compacted
 
 
-def compact_events_file(path: PathLike) -> bool:
-    """Atomically compact one stream's heartbeats; True if it shrank.
+def _lock_current(path: Path, fd: Optional[int]) -> int:
+    """An fd on the file now at ``path``, exclusively locked.
 
-    Rewrites via a temp file + ``os.replace`` so a concurrent reader
-    never sees a half-written stream.  Never raises: the stream is
-    advisory, so any I/O error leaves the file as-is.
+    Compaction replaces the file under the lock.  An fd opened before
+    the replace names the old inode, so after taking the lock check
+    that ``path`` still names the locked file; if not, follow the
+    path and lock again.
+    """
+    while True:
+        if fd is None:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            held = os.fstat(fd)
+            current = os.stat(path)
+        except FileNotFoundError:
+            current = None
+        except BaseException:
+            os.close(fd)
+            raise
+        if current is not None and (current.st_ino, current.st_dev) == (
+            held.st_ino, held.st_dev
+        ):
+            return fd
+        os.close(fd)  # also drops the lock on the stale file
+        fd = None
+
+
+def compact_events_file(path: PathLike) -> bool:
+    """Compact one log's heartbeats in place; True if it shrank.
+
+    Holds the log's append lock across read, rewrite and
+    ``os.replace``, so no append can land in the old file after it was
+    read.  A concurrent reader sees the old file or the new one, never
+    half of either.  Never raises: any I/O error leaves the file as-is.
     """
     path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError:
-        return False
-    lines = raw.splitlines(keepends=True)
-    compacted = compact_heartbeat_lines(lines)
-    if len(compacted) == len(lines):
+    if not path.is_file():
         return False
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
+        fd = _lock_current(path, None)
+    except OSError:
+        return False
+    try:
+        lines = path.read_text().splitlines(keepends=True)
+        compacted = compact_heartbeat_lines(lines)
+        if len(compacted) == len(lines):
+            return False
         tmp.write_text("".join(compacted))
         os.replace(tmp, path)
-    except OSError:
+        return True
+    except (OSError, ValueError):
         try:
             tmp.unlink()
         except OSError:
             pass
         return False
-    return True
+    finally:
+        os.close(fd)
+
+
+def _repair_tail(fd: int) -> None:
+    """Terminate a torn tail before appending.
+
+    A crash mid-append can leave the file ending in a partial record
+    with no newline.  Appending directly after it would glue two
+    records onto one unparsable line, losing the new record too.  A
+    lone newline first confines the damage to the lost fragment.
+    """
+    size = os.fstat(fd).st_size
+    if size > 0 and os.pread(fd, 1, size - 1) != b"\n":
+        os.write(fd, b"\n")
 
 
 class SweepEventBus:
-    """Append-only, flush-per-event writer for one sweep's progress.
+    """Append-only writer for one sweep's log.
 
-    Opens lazily on the first emit and never raises: a full disk or a
-    vanished directory degrades to a silent no-op, because the bus is
-    telemetry, not state — the journal alone remains authoritative.
+    Opens lazily on the first emit, compacting what earlier sessions
+    left.  Advisory emits never raise.  A durable emit raises on an
+    I/O error other than a full disk, like any checkpoint write; a
+    full disk, or a log that cannot be opened at all, degrades the
+    whole log to a no-op with one warning.
     """
 
     def __init__(self, root: PathLike, sweep_id: str) -> None:
         self.sweep_id = sweep_id
         self.path = events_path(root, sweep_id)
-        self._handle = None
+        self._fd: Optional[int] = None
+        #: Serialises this writer's threads; processes use the flock.
+        self._mutex = threading.Lock()
         self._dead = False
         self.emitted = 0
 
@@ -183,64 +242,68 @@ class SweepEventBus:
         return f"<SweepEventBus {self.sweep_id} at {self.path}>"
 
     def emit(self, event: str, **fields: Any) -> None:
-        """Append one event record (never raises)."""
+        """Append one event record."""
         if self._dead:
             return
         record: Dict[str, Any] = {"event": event, "ts": time.time()}
         record.update(fields)
+        durable = event in DURABLE_EVENTS
         try:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                torn = False
-                if self.path.exists() and self.path.stat().st_size > 0:
-                    # Bound the stream's growth across resumes: drop
-                    # the previous sessions' superseded heartbeats
-                    # before appending new events.
+            line = (json.dumps(record) + "\n").encode("utf-8")
+            with self._mutex:
+                if self._fd is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    # Bound the log's growth across resumes: drop
+                    # earlier sessions' superseded heartbeats first.
                     compact_events_file(self.path)
-                    # A previous writer may have been killed mid-append;
-                    # start a fresh line so its torn tail cannot swallow
-                    # this session's first event.
-                    with self.path.open("rb") as tail:
-                        tail.seek(-1, 2)
-                        torn = tail.read(1) != b"\n"
-                self._handle = self.path.open("a")
-                if torn:
-                    self._handle.write("\n")
-            line = json.dumps(record) + "\n"
-            failpoints.fire(
-                SITE_EVENTS_EMIT,
-                data=line.encode("utf-8"),
-                writer=lambda prefix: (
-                    self._handle.write(prefix.decode("utf-8", "ignore")),
-                    self._handle.flush(),
-                ),
-            )
-            self._handle.write(line)
-            self._handle.flush()
-            self.emitted += 1
+                self._append(line, durable)
         except (OSError, ValueError, TypeError) as error:
-            self._dead = True  # advisory stream: stop trying, keep sweeping
-            if out_of_space(error):
+            unopened = isinstance(error, OSError) and self._fd is None
+            if out_of_space(error) or unopened:
+                self._dead = True
+                self.close()
                 warn_degraded(
                     "sweep event stream",
-                    f"{error} — sweep continues without progress events",
+                    f"{error} — sweep continues without its log "
+                    "(resume will rely on the result cache)",
                 )
+            elif durable:
+                raise
+            return
+        self.emitted += 1
+
+    def _append(self, line: bytes, durable: bool) -> None:
+        fd, self._fd = self._fd, None
+        fd = _lock_current(self.path, fd)
+        self._fd = fd
+        try:
+            _repair_tail(fd)
+            failpoints.fire(
+                SITE_EVENTS_EMIT,
+                data=line,
+                writer=lambda prefix: os.write(fd, prefix),
+            )
+            os.write(fd, line)
+            if durable:
+                os.fsync(fd)
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
 
     def close(self) -> None:
-        if self._handle is not None:
+        if self._fd is not None:
             try:
-                self._handle.close()
+                os.close(self._fd)
             except OSError:
                 pass
-            self._handle = None
+            self._fd = None
 
 
 def load_events(path: PathLike) -> List[Dict[str, Any]]:
-    """All readable events of one stream, in append order.
+    """All readable events of one log, in append order.
 
-    Mirrors :func:`repro.exec.journal.load_journal`'s torn-tail
-    tolerance: unparsable lines (a crash mid-append) are skipped and
-    everything before them stands.  A missing file is an empty stream.
+    Unparsable lines (a torn tail after a crash, or a scribble) are
+    skipped and everything before them stands.  A missing file is an
+    empty log.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -324,6 +387,9 @@ class SweepProgress:
     argv: List[str] = field(default_factory=list)
     #: digest -> final outcome row for every settled digest.
     settled: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: digest -> the last ``run_settled`` record for it, payload
+    #: included: the resume state.
+    runs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     cache_hits: int = 0
     resumed: int = 0
     executed: int = 0
@@ -357,6 +423,21 @@ class SweepProgress:
     @property
     def pending(self) -> int:
         return max(0, self.total - len(self.settled))
+
+    def settled_runs(self) -> Dict[str, Dict[str, Any]]:
+        """``run_settled`` records a resume may reuse.
+
+        Successes and poisoned rows (deterministic failures that would
+        fail identically again).  Transient errors are not settled, so
+        a resume retries them.  A record without a payload (written
+        before settles carried one) cannot answer a row either.
+        """
+        return {
+            digest: record
+            for digest, record in self.runs.items()
+            if "payload" in record
+            and (record.get("status") == "ok" or record.get("poisoned"))
+        }
 
     @property
     def rate_per_s(self) -> float:
@@ -428,23 +509,61 @@ class SweepProgress:
         }
 
 
+#: Typed fields of event records.  :func:`replay_events` converts
+#: them before folding a record, so a record whose JSON parses but
+#: whose values do not is skipped whole instead of half-applied.
+_INT_FIELDS = ("index", "total", "jobs", "attempt", "attempts", "cores")
+_FLOAT_FIELDS = ("ts", "duration_s")
+_LIST_FIELDS = ("argv", "indexes", "labels")
+
+
+def _typed(record: Dict[str, Any]) -> Dict[str, Any]:
+    """``record`` with its typed fields converted; raises
+    ``TypeError``/``ValueError`` when one does not convert."""
+    typed = dict(record)
+    for key in _INT_FIELDS:
+        if key in typed:
+            typed[key] = int(typed[key])
+    for key in _FLOAT_FIELDS:
+        if key in typed:
+            typed[key] = float(typed[key])
+    if typed.get("worker") is not None:
+        typed["worker"] = int(typed["worker"])
+    for key in _LIST_FIELDS:
+        if typed.get(key) is not None and not isinstance(typed[key], list):
+            raise TypeError(f"{key} must be a list")
+    if typed.get("indexes"):
+        typed["indexes"] = [int(index) for index in typed["indexes"]]
+    if typed.get("workers") is not None and not isinstance(
+        typed["workers"], dict
+    ):
+        raise TypeError("workers must be an object")
+    return typed
+
+
 def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
     """Fold an event stream into its current :class:`SweepProgress`.
 
     Tolerates overlap from resumed sweeps (the same stream accumulates
     every attempt): later events win, settles are keyed by digest, and
     a fresh ``sweep_begin`` clears the transient in-flight state.
+    Like unparsable lines, records with a wrong-typed field are
+    skipped.
     """
     progress = SweepProgress()
-    for record in events:
+    for raw in events:
+        try:
+            record = _typed(raw)
+        except (TypeError, ValueError):
+            continue  # parses as JSON, but a field has the wrong type
         kind = record.get("event")
-        ts = float(record.get("ts", 0.0))
+        ts = record.get("ts", 0.0)
         if ts:
             progress.updated_at = max(progress.updated_at, ts)
         if kind == "sweep_begin":
             progress.sweep_id = str(record.get("sweep_id", progress.sweep_id))
-            progress.total = int(record.get("total", progress.total))
-            progress.jobs = int(record.get("jobs", progress.jobs))
+            progress.total = record.get("total", progress.total)
+            progress.jobs = record.get("jobs", progress.jobs)
             argv = record.get("argv")
             if argv:
                 progress.argv = [str(part) for part in argv]
@@ -476,13 +595,13 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
         elif kind == "artifact_miss":
             progress.artifact_misses += 1
         elif kind == "worker_spawned":
-            worker = int(record.get("worker", -1))
+            worker = record.get("worker", -1)
             progress.workers_spawned += 1
             progress.workers[worker] = {
                 "state": "alive", "task": None, "last_ts": ts,
             }
         elif kind == "worker_died":
-            worker = int(record.get("worker", -1))
+            worker = record.get("worker", -1)
             progress.workers_died += 1
             info = progress.workers.setdefault(worker, {})
             info.update(
@@ -490,12 +609,12 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                  "reason": str(record.get("reason", ""))}
             )
         elif kind == "run_leased":
-            index = int(record.get("index", -1))
+            index = record.get("index", -1)
             worker = record.get("worker")
             progress.in_flight[index] = {
                 "label": str(record.get("label", "")),
                 "worker": worker,
-                "attempt": int(record.get("attempt", 1)),
+                "attempt": record.get("attempt", 1),
                 "since": ts,
             }
             if isinstance(worker, int) and worker in progress.workers:
@@ -504,10 +623,10 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                 )
         elif kind == "run_retried":
             progress.retries += 1
-            index = int(record.get("index", -1))
+            index = record.get("index", -1)
             progress.in_flight.pop(index, None)
         elif kind == "run_settled":
-            index = int(record.get("index", -1))
+            index = record.get("index", -1)
             digest = str(record.get("digest", ""))
             leased = progress.in_flight.pop(index, None)
             if leased is not None:
@@ -527,9 +646,10 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                 progress.settled[digest] = {
                     "status": status,
                     "poisoned": poisoned,
-                    "attempts": int(record.get("attempts", 1)),
-                    "duration_s": float(record.get("duration_s", 0.0)),
+                    "attempts": record.get("attempts", 1),
+                    "duration_s": record.get("duration_s", 0.0),
                 }
+                progress.runs[digest] = record
             if ts:
                 progress.settle_times.append(ts)
         elif kind == "heartbeat":
@@ -553,7 +673,7 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
             if agent:
                 progress.agents[agent] = {
                     "state": "alive",
-                    "cores": int(record.get("cores", 1)),
+                    "cores": record.get("cores", 1),
                     "host": str(record.get("host", "")),
                     "leased": 0,
                     "settled": 0,
@@ -571,14 +691,14 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                 )
         elif kind == "lease_granted":
             agent = str(record.get("agent", ""))
-            indexes = [int(i) for i in record.get("indexes") or []]
+            indexes = record.get("indexes") or []
             labels = record.get("labels") or []
             for position, index in enumerate(indexes):
                 label = labels[position] if position < len(labels) else ""
                 progress.in_flight[index] = {
                     "label": str(label),
                     "worker": agent,
-                    "attempt": int(record.get("attempt", 1)),
+                    "attempt": record.get("attempt", 1),
                     "since": ts,
                 }
             if agent:
@@ -589,8 +709,8 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                 info["last_ts"] = ts
         elif kind == "lease_expired":
             agent = str(record.get("agent", ""))
-            for raw_index in record.get("indexes") or []:
-                progress.in_flight.pop(int(raw_index), None)
+            for index in record.get("indexes") or []:
+                progress.in_flight.pop(index, None)
             if agent and agent in progress.agents:
                 progress.agents[agent]["last_ts"] = ts
         elif kind == "result_pushed":
@@ -610,7 +730,7 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
 
 
 def load_progress(root: PathLike, sweep_id: str) -> SweepProgress:
-    """Replay the event stream for ``sweep_id`` under journal ``root``."""
+    """Fold the sweep log for ``sweep_id`` under journal ``root``."""
     progress = replay_events(load_events(events_path(root, sweep_id)))
     if not progress.sweep_id:
         progress.sweep_id = sweep_id

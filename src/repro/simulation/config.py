@@ -255,6 +255,14 @@ class SimulationConfig:
                 raise ConfigurationError(f"fail_at interval {interval} is negative")
             scripted.append((disk, interval))
         object.__setattr__(self, "fail_at", tuple(scripted))
+        # Settings a run cannot see must not fork the cache key: VDR
+        # has no stride, and a closed loop never blocks on a deadline.
+        # Grids derive such cells from a shared base with with_(), so
+        # these are dropped, not rejected.
+        if self.technique == "vdr":
+            object.__setattr__(self, "stride", None)
+        if self.arrival == "closed":
+            object.__setattr__(self, "deadline_intervals", None)
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -2,7 +2,7 @@
 
 These drive the same harness machinery as ``repro chaos`` over a few
 representative scenarios — a hard kill at the cache boundary, a torn
-journal tail, and an on-disk corruption round trip — and additionally
+sweep-log settle, and an on-disk corruption round trip — and additionally
 prove the harness *detects* divergence (a checker that cannot fail
 proves nothing).
 """
@@ -42,11 +42,15 @@ class TestPlan:
         covered = {s.spec.split("=", 1)[0] for s in quick if s.spec}
         assert {
             "cache.write.pre_rename",
-            "journal.append.pre_write",
-            "journal.append.post_write",
             "events.emit",
             "cluster.client.post_send",
         } <= covered
+        # The sweep log's durable records: a torn settle, a kill right
+        # after a settle was fsynced, and a torn sweep_begin.
+        assert {
+            "events.emit=torn:9@3", "events.emit=crash@6",
+            "events.emit=torn:7",
+        } <= {scenario.spec for scenario in quick}
 
     def test_names_and_specs_are_unique(self):
         plan = chaos_plan()
@@ -67,7 +71,7 @@ class TestConvergence:
 
     def test_torn_journal_tail_recovers_byte_identically(self, baseline):
         workdir, base = baseline
-        _run_local(_by_name("journal-append-torn"), base, workdir)
+        _run_local(_by_name("log-settle-torn"), base, workdir)
 
     def test_corruption_is_quarantined_and_reexecuted(self, baseline):
         workdir, base = baseline

@@ -1,8 +1,8 @@
 """Graceful ENOSPC/EDQUOT degradation (satellite of the failpoint PR).
 
-A full disk must never fail a sweep: the cache, journal, event
-stream, and obs store are accelerators/observers, so each degrades to
-a no-op with a single warning.  Genuine I/O errors, by contrast, must
+A full disk must never fail a sweep: the cache, the sweep log, and
+the obs store are accelerators/observers, so each degrades to a no-op
+with a single warning.  Genuine I/O errors, by contrast, must
 still propagate — silence is only for running out of space.
 """
 
@@ -10,9 +10,9 @@ import pytest
 
 from repro import failpoints
 from repro.exec.cache import ResultCache
-from repro.exec.journal import SweepJournal, load_journal
+from repro.exec.sweeplog import load_sweep
 from repro.integrity import reset_warnings, warn_degraded
-from repro.obs.events import SweepEventBus
+from repro.obs.events import SweepEventBus, load_events, replay_events
 from repro.obs.store import ObsArtifactStore
 
 DIGEST = "ab" * 32
@@ -48,16 +48,33 @@ class TestCacheDegradation:
 
 class TestJournalDegradation:
     def test_edquot_kills_journaling_not_the_sweep(self, tmp_path, capsys):
-        failpoints.install("journal.append.pre_write=error:edquot")
-        journal = SweepJournal(tmp_path, "sweep01")
-        journal.begin(["sweep"], [DIGEST])  # must not raise
-        assert journal.dead
-        journal.record_run(
-            DIGEST, kind="experiment", label="row", status="ok",
+        # A quota error on a durable record degrades the whole log.
+        failpoints.install("events.emit=error:edquot")
+        bus = SweepEventBus(tmp_path, "sweep01")
+        bus.emit("sweep_begin", total=1, argv=["sweep"])  # must not raise
+        assert bus._dead
+        bus.emit(
+            "run_settled", digest=DIGEST, status="ok",
             payload={"admitted": 7},
         )  # no-op
-        assert load_journal(journal.path) is None
-        assert capsys.readouterr().err.count("sweep journal degraded") == 1
+        assert load_sweep(bus.path) is None
+        err = capsys.readouterr().err
+        assert err.count("sweep event stream degraded") == 1
+
+    def test_io_error_on_a_durable_record_propagates(self, tmp_path):
+        failpoints.install("events.emit=error:io@2")
+        bus = SweepEventBus(tmp_path, "sweep01")
+        bus.emit("heartbeat")  # advisory and clean
+        with pytest.raises(OSError):
+            bus.emit("run_settled", digest=DIGEST, status="ok", payload={})
+        assert not bus._dead
+
+    def test_io_error_on_an_advisory_event_is_swallowed(self, tmp_path):
+        failpoints.install("events.emit=error:io")
+        bus = SweepEventBus(tmp_path, "sweep01")
+        bus.emit("heartbeat")  # must not raise
+        bus.emit("run_settled", digest=DIGEST, status="ok", payload={})
+        assert set(replay_events(load_events(bus.path)).runs) == {DIGEST}
 
 
 class TestEventBusDegradation:

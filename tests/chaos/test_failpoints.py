@@ -89,8 +89,6 @@ class TestRegistry:
             "events.emit",
             "executor.persist.post",
             "executor.persist.pre",
-            "journal.append.post_write",
-            "journal.append.pre_write",
             "master.registry.pre_expire",
             "master.result.pre_persist",
             "obs.store.write.pre_rename",

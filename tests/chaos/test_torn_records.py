@@ -1,12 +1,13 @@
-"""Torn mid-record tails: journal and event stream (satellite of the
-failpoint PR).
+"""Torn mid-record tails in the sweep log.
 
 A crash inside an append may persist only a prefix of the record.
 These tests tear real files with ``torn:<bytes>`` failpoints and then
 demand the recovery contract: everything before the tear stands, the
 torn fragment is skipped *and isolated* (the next session's first
-append must not glue onto it), and folding/compacting the stream is
-equivalent before and after.
+append must not glue onto it), and folding/compacting the log is
+equivalent before and after.  The durable records resume reads
+(``sweep_begin``, ``run_settled``) get the same contract as advisory
+events.
 """
 
 import json
@@ -14,7 +15,7 @@ import json
 import pytest
 
 from repro import failpoints
-from repro.exec.journal import SweepJournal, load_journal
+from repro.exec.sweeplog import load_sweep
 from repro.obs.events import (
     SweepEventBus,
     compact_events_file,
@@ -28,48 +29,58 @@ DIGEST_A = "a" * 64
 DIGEST_B = "b" * 64
 
 
-def _record(journal, digest, payload=None):
-    journal.record_run(
-        digest,
+def _begin(root, digests):
+    bus = SweepEventBus(root, "sweep01")
+    bus.emit("sweep_begin", sweep_id="sweep01", total=len(digests),
+             digests=sorted(digests), argv=["sweep"])
+    return bus
+
+
+def _record(bus, digest, payload=None):
+    bus.emit(
+        "run_settled",
+        index=0,
+        digest=digest,
         kind="experiment",
         label="row",
         status="ok",
         payload=payload or PAYLOAD,
+        error=None,
         duration_s=0.5,
+        attempts=1,
+        poisoned=False,
     )
 
 
 class TestJournalTornTail:
     def test_tear_loses_only_the_torn_record(self, tmp_path, crash):
-        journal = SweepJournal(tmp_path, "sweep01")
-        journal.begin(["sweep"], [DIGEST_A, DIGEST_B])
-        failpoints.install("journal.append.pre_write=torn:9")
+        bus = _begin(tmp_path, [DIGEST_A, DIGEST_B])
+        failpoints.install("events.emit=torn:9")
         with pytest.raises(crash):
-            _record(journal, DIGEST_A)
-        raw = journal.path.read_bytes()
+            _record(bus, DIGEST_A)
+        raw = bus.path.read_bytes()
         assert not raw.endswith(b"\n")  # a genuine mid-record tear
-        state = load_journal(journal.path)
-        assert state is not None  # begin record still stands
-        assert state.runs == {}  # the torn run is gone, nothing else
+        state = load_sweep(bus.path)
+        assert state is not None  # sweep_begin still stands
+        assert state.runs == {}  # the torn settle is gone, nothing else
 
     def test_resume_append_does_not_glue_onto_the_tear(
         self, tmp_path, crash
     ):
-        journal = SweepJournal(tmp_path, "sweep01")
-        journal.begin(["sweep"], [DIGEST_A, DIGEST_B])
-        failpoints.install("journal.append.pre_write=torn:9")
+        bus = _begin(tmp_path, [DIGEST_A, DIGEST_B])
+        failpoints.install("events.emit=torn:9")
         with pytest.raises(crash):
-            _record(journal, DIGEST_A)
+            _record(bus, DIGEST_A)
         failpoints.install("")
         # A fresh session (post-crash process) appends to the same
-        # journal: the torn fragment must be terminated first, or this
+        # log: the torn fragment must be terminated first, or this
         # record would fuse with it into one unparsable line — losing
         # the *new* record too.
-        resumed = SweepJournal(tmp_path, "sweep01")
+        resumed = SweepEventBus(tmp_path, "sweep01")
         _record(resumed, DIGEST_A)
         _record(resumed, DIGEST_B)
-        state = load_journal(resumed.path)
-        assert set(state.runs) == {DIGEST_A, DIGEST_B}
+        state = load_sweep(resumed.path)
+        assert set(state.settled_runs()) == {DIGEST_A, DIGEST_B}
         assert state.runs[DIGEST_A]["payload"] == PAYLOAD
         # Exactly one line (the fragment) is unparsable.
         lines = resumed.path.read_text().splitlines()
@@ -77,25 +88,23 @@ class TestJournalTornTail:
         assert len(bad) == 1 and bad[0] != ""
 
     def test_clean_tail_is_not_repaired(self, tmp_path):
-        journal = SweepJournal(tmp_path, "sweep01")
-        journal.begin(["sweep"], [DIGEST_A])
-        _record(journal, DIGEST_A)
-        text = journal.path.read_text()
+        bus = _begin(tmp_path, [DIGEST_A])
+        _record(bus, DIGEST_A)
+        text = bus.path.read_text()
         assert "\n\n" not in text  # no spurious repair newline
         assert all(not _unparsable(line) for line in text.splitlines())
 
     def test_tear_at_zero_bytes_equals_clean_crash(self, tmp_path, crash):
-        journal = SweepJournal(tmp_path, "sweep01")
-        journal.begin(["sweep"], [DIGEST_A])
-        failpoints.install("journal.append.pre_write=torn:0")
+        bus = _begin(tmp_path, [DIGEST_A])
+        failpoints.install("events.emit=torn:0")
         with pytest.raises(crash):
-            _record(journal, DIGEST_A)
+            _record(bus, DIGEST_A)
         # Zero torn bytes: the record is simply absent, the file clean.
-        state = load_journal(journal.path)
-        assert state.runs == {}
-        resumed = SweepJournal(tmp_path, "sweep01")
+        assert load_sweep(bus.path).runs == {}
+        failpoints.install("")
+        resumed = SweepEventBus(tmp_path, "sweep01")
         _record(resumed, DIGEST_A)
-        assert set(load_journal(resumed.path).runs) == {DIGEST_A}
+        assert set(load_sweep(resumed.path).runs) == {DIGEST_A}
 
 
 class TestEventStreamTornTail:

@@ -19,7 +19,7 @@ import pytest
 from repro.errors import ClusterError, ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import execute
-from repro.exec.journal import journal_path, journal_root, load_journal
+from repro.exec.sweeplog import journal_root, load_sweep
 from repro.exec.spec import RunSpec, register_kind, spec_digest
 from repro.exec.supervisor import Supervision
 from repro.obs.events import (
@@ -291,10 +291,10 @@ class TestFailureAttribution:
             assert bad["attempts"] == 1  # deterministic: no retry
             assert by_label["good"]["status"] == "ok"
 
-            journal = load_journal(
-                journal_path(journal_root(master.cache.root), sweep_id)
+            log = load_sweep(
+                events_path(journal_root(master.cache.root), sweep_id)
             )
-            settled = journal.settled_runs()
+            settled = log.settled_runs()
             assert settled[bad["digest"]]["poisoned"]
         finally:
             master.stop()

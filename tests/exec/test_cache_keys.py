@@ -63,7 +63,6 @@ PERTURBATIONS = [
     # knob must fork the key.
     ("arrival_rate", 0.05),
     ("zipf_s", 0.8),
-    ("deadline_intervals", 10),
     ("mmpp_rates", (0.02, 0.08)),
     ("mmpp_sojourn", (120.0, 120.0)),
     ("diurnal_period", 900.0),
@@ -166,6 +165,24 @@ class TestPerturbationsChangeKey:
             for config in (closed, poisson, mmpp)
         }
         assert len(digests) == 3
+
+    def test_settings_without_effect_do_not_fork_the_key(self):
+        """VDR has no stride and a closed loop never blocks on a
+        deadline, so neither may change the key (or the sweep id).  An
+        open workload's deadline still forks it (PERTURBATIONS covers
+        the stride of striping)."""
+        config = base_config()
+        vdr = config.with_(technique="vdr")
+        assert spec_digest(experiment_spec(vdr)) == spec_digest(
+            experiment_spec(vdr.with_(stride=3, deadline_intervals=10))
+        )
+        assert spec_digest(experiment_spec(config)) == spec_digest(
+            experiment_spec(config.with_(deadline_intervals=10))
+        )
+        poisson = config.with_(arrival="poisson", arrival_rate=0.05)
+        assert spec_digest(experiment_spec(poisson)) != spec_digest(
+            experiment_spec(poisson.with_(deadline_intervals=10))
+        )
 
     def test_sanitize_mode_is_excluded_from_the_key(self):
         """Sanitize only adds checks — all three modes must share one

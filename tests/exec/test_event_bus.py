@@ -2,7 +2,7 @@
 
 The sweep-scope observability contract (docs/sweep_observability.md):
 
-* every journaled sweep appends progress events beside its journal;
+* every journaled sweep appends its events to one sweep log;
 * the *set* of settled outcomes is a function of the work, not the
   scheduling — ``jobs=1`` and ``jobs=4`` agree on the settled digest;
 * with ``--obs-level metrics|trace`` and a cache, per-run telemetry is
@@ -18,7 +18,7 @@ import pytest
 
 from repro.exec import ResultCache, RunSpec, Supervision, execute
 from repro.exec.hashing import canonical_json
-from repro.exec.journal import journal_root
+from repro.exec.sweeplog import journal_root
 from repro.exec.spec import register_kind, spec_digest
 from repro.obs import Observability
 from repro.obs.events import (
@@ -67,6 +67,8 @@ class TestEventStream:
         records = execute(busy_specs(3), cache=cache, supervision=quiet())
         stream = single_stream(tmp_path)
         assert stream.name == f"{records[0].sweep_id}.events.jsonl"
+        # The log is the sweep's only file: no separate journal.
+        assert list(journal_root(tmp_path).iterdir()) == [stream]
         events = load_events(stream)
         kinds = [event["event"] for event in events]
         assert kinds[0] == "sweep_begin"

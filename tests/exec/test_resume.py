@@ -3,7 +3,7 @@
 The contract (docs/resilient_execution.md): interrupt a sweep after N
 rows, resume it, and the final rows are **byte-identical** to an
 uninterrupted sweep — at ``jobs=1`` and ``jobs=4``, with or without
-the result cache (the journal carries payloads itself).
+the result cache (the sweep log's settles carry payloads).
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ import time
 import pytest
 
 from repro.errors import SweepInterrupted
+from repro.cli import main
 from repro.exec import (
     ResultCache,
     RunSpec,
     Supervision,
     execute,
     journal_root,
-    list_journals,
+    load_sweep,
 )
 from repro.exec.hashing import canonical_json
 from repro.exec.spec import register_kind
@@ -70,13 +71,13 @@ def interrupt_after(delay):
 
 class TestJournalResume:
     """Crash-style resume: the first invocation stops early, the second
-    invocation picks the journal up."""
+    invocation picks the sweep log up."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_crash_after_two_rows_resumes_byte_identical(self, tmp_path, jobs):
-        """Simulate a hard crash (kill -9 of the parent): the journal
-        holds two finished rows and a torn tail.  Re-running the sweep
-        replays those two and executes only the rest."""
+        """Simulate a hard crash (kill -9 of the parent): the log holds
+        two settled rows and a torn tail.  Re-running the sweep replays
+        those two and executes only the rest."""
         specs = paced_specs(6)
         ref_dir = tmp_path / "ref"
         reference = execute(
@@ -84,16 +85,17 @@ class TestJournalResume:
         )
         journal_dir = tmp_path / "journal"
         shutil.copytree(ref_dir, journal_dir)
-        path = next(
-            path for path in journal_dir.glob("*.jsonl")
-            if not path.name.endswith(".events.jsonl")
+        [path] = journal_dir.glob("*.jsonl")
+        assert path.name.endswith(".events.jsonl")  # the one log
+        kept, settles = [], 0
+        for line in path.read_text().splitlines(keepends=True):
+            kept.append(line)
+            settles += json.loads(line)["event"] == "run_settled"
+            if settles == 2:
+                break  # truncate right after the second settle
+        path.write_text(
+            "".join(kept) + '{"event": "run_settled", "digest": "torn'
         )
-        lines = path.read_text().splitlines(keepends=True)
-        kept = [
-            line for line in lines
-            if json.loads(line).get("event") != "end"
-        ][:3]  # begin + two rows
-        path.write_text("".join(kept) + '{"event": "run", "digest": "torn')
         resumed = execute(
             specs, jobs=jobs,
             supervision=quiet_supervision(journal_dir=journal_dir),
@@ -103,7 +105,7 @@ class TestJournalResume:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_interrupted_journal_resumes_without_cache(self, tmp_path, jobs):
-        """The journal alone (no result cache) is enough to resume."""
+        """The sweep log alone (no result cache) is enough to resume."""
         specs = paced_specs(5)
         journal_dir = tmp_path / "journals"
         supervision = quiet_supervision(journal_dir=journal_dir)
@@ -143,21 +145,19 @@ class TestSignalInterrupt:
         assert interrupt.sweep_id
         assert interrupt.resume_command.startswith("repro sweep-resume")
         assert 0 < interrupt.completed < len(specs)
-        # The journal recorded the drain.
-        states = list_journals(journal_dir)
-        assert len(states) == 1
-        state = states[0]
+        # The log recorded the drain.
+        state = load_sweep(interrupt.journal_path)
         assert state.status == "interrupted"
         assert state.completed == interrupt.completed
         assert state.argv == ["sweep", "--paced"]
-        # Resume: settled rows replay from the journal, the rest run.
+        # Resume: settled rows replay from the log, the rest run.
         resumed = execute(
             specs, jobs=jobs,
             supervision=quiet_supervision(journal_dir=journal_dir),
         )
         assert rows_of(resumed) == rows_of(reference)
         assert sum(1 for r in resumed if r.resumed) == interrupt.completed
-        assert list_journals(journal_dir)[0].status == "complete"
+        assert load_sweep(interrupt.journal_path).status == "complete"
 
     def test_interrupt_with_cache_names_journal_beside_it(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -172,3 +172,32 @@ class TestSignalInterrupt:
         finally:
             timer.cancel()
         assert str(journal_root(cache.root)) in caught.value.journal_path
+
+
+class TestLegacyJournal:
+    def test_resume_rejects_a_pre_log_journal_in_one_line(
+        self, tmp_path, capsys
+    ):
+        """A cache holding only an old-format ``<id>.jsonl`` journal
+        cannot be resumed: exit 2 with one line naming the way out."""
+        cache = tmp_path / "cache"
+        root = journal_root(cache)
+        root.mkdir(parents=True)
+        (root / "0123abcd4567ef89.jsonl").write_text(
+            json.dumps({"event": "begin", "sweep_id": "0123abcd4567ef89",
+                        "argv": ["sweep"], "total": 1, "digests": ["d"]})
+            + "\n"
+        )
+        code = main(
+            ["sweep-resume", "0123abcd4567ef89", "--cache-dir", str(cache)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip().splitlines() == [
+            "repro sweep-resume: journal predates the unified sweep log; "
+            "re-run the original command (cached rows are reused)"
+        ]
+        # Sweeps and sweep-status leave such files alone.
+        assert main(["sweep-status", "--journal", "--cache-dir",
+                     str(cache)]) == 0
+        assert "no sweep logs" in capsys.readouterr().out

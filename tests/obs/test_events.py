@@ -150,6 +150,22 @@ class TestReplay:
              "reason": "worker process died mid-run (exit code -9)"},
         ]
 
+    def test_wrong_typed_records_are_skipped_whole(self):
+        """A line that parses as JSON but carries a wrong-typed field
+        is a scribble: it is skipped, not fatal and not half-applied."""
+        scribbles = [
+            {"event": "run_leased", "ts": 10.4, "index": "x", "label": "bad"},
+            {"event": "run_settled", "ts": 10.5, "index": 3, "digest": "d3",
+             "status": "ok", "attempts": "many"},
+            {"event": "sweep_begin", "ts": "late", "total": 99},
+            {"event": "lease_granted", "ts": 10.6, "agent": "a",
+             "indexes": 7},
+            {"event": "heartbeat", "ts": 10.7, "workers": [1, 2]},
+        ]
+        stream = self.stream()
+        progress = replay_events(stream[:6] + scribbles + stream[6:])
+        assert progress.to_dict() == replay_events(stream).to_dict()
+
     def test_mid_flight_snapshot(self):
         progress = replay_events(self.stream())
         assert progress.sweep_id == "s1"
