@@ -7,18 +7,26 @@ The paper's rules:
 * per-drive load is perfectly balanced when the subobject count is a
   multiple of ``D / gcd(D, k)`` — in particular ``k = 1`` (or any
   ``k`` relatively prime to ``D``) guarantees no data skew;
-* with small strides an object of ``n`` subobjects touches
+* with strides up to ``M`` an object of ``n`` subobjects touches
   ``min(D, (n-1)·k + M)`` drives — the paper's example: 100 cylinders
   (``n = 25``, ``M = 4``) over ``D = 100`` drives spans 28 drives at
-  ``k = 1`` but all 100 at ``k = M``.
+  ``k = 1`` but all 100 at ``k = M``.  A stride above ``M`` skips
+  drives between subobjects.
+
+Per-drive counts come from
+:func:`repro.media.layout.drive_fragment_counts`, the closed form the
+simulator's storage accounting uses.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict
+
+import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.media.layout import drive_fragment_counts, relative_skew
 
 
 def residue_classes(num_disks: int, stride: int) -> int:
@@ -60,14 +68,8 @@ def disks_used_by_object(
     num_disks: int, stride: int, num_subobjects: int, degree: int
 ) -> int:
     """Distinct drives an object touches."""
-    _check(num_disks, stride)
-    if num_subobjects < 1 or degree < 1:
-        raise ConfigurationError("num_subobjects and degree must be >= 1")
-    span = (num_subobjects - 1) * stride + degree
-    if span < num_disks:
-        return span
-    starts = {(i * stride) % num_disks for i in range(num_subobjects)}
-    return len({(s + j) % num_disks for s in starts for j in range(degree)})
+    counts = _object_counts(num_disks, stride, num_subobjects, degree)
+    return int(np.count_nonzero(counts))
 
 
 def skew_profile(
@@ -78,21 +80,24 @@ def skew_profile(
     Returns min/max/mean over the drives the object touches plus the
     relative skew ``(max - min) / mean``.
     """
-    _check(num_disks, stride)
-    counts: List[int] = [0] * num_disks
-    for i in range(num_subobjects):
-        start = (i * stride) % num_disks
-        for j in range(degree):
-            counts[(start + j) % num_disks] += 1
-    touched = [c for c in counts if c > 0]
-    mean = sum(touched) / len(touched)
+    counts = _object_counts(num_disks, stride, num_subobjects, degree)
+    touched = counts[counts > 0]
     return {
-        "min": float(min(touched)),
-        "max": float(max(touched)),
-        "mean": mean,
-        "relative_skew": (max(touched) - min(touched)) / mean if mean else 0.0,
-        "disks_used": float(len(touched)),
+        "min": float(touched.min()),
+        "max": float(touched.max()),
+        "mean": int(touched.sum()) / touched.size,
+        "relative_skew": relative_skew(counts),
+        "disks_used": float(touched.size),
     }
+
+
+def _object_counts(
+    num_disks: int, stride: int, num_subobjects: int, degree: int
+) -> np.ndarray:
+    _check(num_disks, stride)
+    if num_subobjects < 1 or degree < 1:
+        raise ConfigurationError("num_subobjects and degree must be >= 1")
+    return drive_fragment_counts(num_disks, stride, num_subobjects, degree)
 
 
 def _check(num_disks: int, stride: int) -> None:

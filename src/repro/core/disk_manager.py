@@ -14,7 +14,9 @@ asked for two full-bandwidth fragments at once.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.display import Display
 from repro.core.virtual_disks import SlotPool
@@ -91,19 +93,25 @@ class DiskManager:
                 self._next_start + self.placement_alignment
             ) % self.array.num_disks
         self.layout.place(obj, start_disk)
-        for disk, fragments in enumerate(self.layout.fragment_counts(obj.object_id)):
-            if fragments:
-                self.array.store(disk, fragments * self.fragment_cylinders)
+        for disk, cylinders in self._cylinders_per_disk(obj.object_id):
+            self.array.store(disk, cylinders)
         return start_disk % self.array.num_disks
 
     def evict_object(self, object_id: int) -> None:
         """Remove ``object_id``'s fragments and reclaim its storage."""
         if not self.layout.is_placed(object_id):
             raise LayoutError(f"object {object_id} is not placed")
-        for disk, fragments in enumerate(self.layout.fragment_counts(object_id)):
-            if fragments:
-                self.array.evict(disk, fragments * self.fragment_cylinders)
+        for disk, cylinders in self._cylinders_per_disk(object_id):
+            self.array.evict(disk, cylinders)
         self.layout.remove(object_id)
+
+    def _cylinders_per_disk(self, object_id: int) -> List[Tuple[int, int]]:
+        """``(drive, cylinders)`` for every drive holding a fragment of
+        the object, in drive order."""
+        counts = self.layout.fragment_counts(object_id)
+        disks = np.flatnonzero(counts)
+        cylinders = counts[disks] * self.fragment_cylinders
+        return list(zip(disks.tolist(), cylinders.tolist()))
 
     def start_disk(self, object_id: int) -> int:
         """Start drive of a placed object."""

@@ -13,7 +13,7 @@ faster — see DESIGN.md's substitution table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from repro import units
@@ -256,13 +256,15 @@ class SimulationConfig:
             scripted.append((disk, interval))
         object.__setattr__(self, "fail_at", tuple(scripted))
         # Settings a run cannot see must not fork the cache key: VDR
-        # has no stride, and a closed loop never blocks on a deadline.
-        # Grids derive such cells from a shared base with with_(), so
-        # these are dropped, not rejected.
+        # has no stride, and a closed loop has no arrival rate, no
+        # traffic shaping and never blocks on a deadline (zipf_s still
+        # picks its titles).  Grids derive such cells from a shared
+        # base with with_(), so these are dropped, not rejected.
         if self.technique == "vdr":
             object.__setattr__(self, "stride", None)
         if self.arrival == "closed":
-            object.__setattr__(self, "deadline_intervals", None)
+            for name, default in _OPEN_ONLY_DEFAULTS.items():
+                object.__setattr__(self, name, default)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -383,6 +385,16 @@ class SimulationConfig:
     def with_(self, **changes) -> "SimulationConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+#: Fields only an open arrival stream reads (see build_arrivals), with
+#: the defaults a closed config normalises them to.
+_OPEN_ONLY_DEFAULTS = {
+    f.name: f.default
+    for f in fields(SimulationConfig)
+    if f.name in ("arrival_rate", "deadline_intervals")
+    or f.name.startswith(("mmpp_", "diurnal_", "burst_"))
+}
 
 
 def PaperConfig(**overrides) -> SimulationConfig:

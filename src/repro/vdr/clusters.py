@@ -150,10 +150,12 @@ class ClusterArray:
     # ------------------------------------------------------------------
     def free_holder(self, object_id: int, interval: int) -> Optional[Cluster]:
         """A free cluster holding the object, lowest index first."""
-        for cluster in sorted(self.holders(object_id), key=lambda c: c.index):
-            if cluster.is_free(interval):
-                return cluster
-        return None
+        best = -1
+        clusters = self.clusters
+        for index in self.copies.get(object_id, ()):
+            if (best < 0 or index < best) and clusters[index].is_free(interval):
+                best = index
+        return clusters[best] if best >= 0 else None
 
     def free_clusters(self, interval: int) -> List[Cluster]:
         """All clusters free this interval."""

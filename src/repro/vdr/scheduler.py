@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -454,23 +454,35 @@ class VirtualReplicationPolicy(StoragePolicy):
         self._push_event(interval + duration, "materialize", victim.index, object_id)
 
     def _admission_pass(self, interval: int) -> None:
-        waiting_after: Dict[int, int] = {}
-        for request in self._queue:
-            waiting_after[request.object_id] = (
-                waiting_after.get(request.object_id, 0) + 1
-            )
-        still_waiting: List[Request] = []
-        for request in self._queue:
+        clusters = self.clusters
+        copies = clusters.copies
+        # A display starts only on a cluster free now, and the pass only
+        # takes clusters and copies away (admissions, replica victims),
+        # so an object with no free holder now gets none later in the
+        # pass: its requests skip the lookup.  With no cluster free the
+        # pass only queues materialisations.
+        startable = {
+            object_id
+            for cluster in clusters.clusters
+            if cluster.available and interval >= cluster.busy_until
+            for object_id in cluster.resident
+        }
+        queue = self._queue
+        waiting_after: Optional[Counter] = None
+        started: Set[int] = set()  # queue positions admitted
+        for position, request in enumerate(queue):
             object_id = request.object_id
-            cluster = self.clusters.free_holder(object_id, interval)
+            cluster = (
+                clusters.free_holder(object_id, interval)
+                if object_id in startable
+                else None
+            )
             if cluster is None:
-                if (
-                    self.clusters.copy_count(object_id) == 0
-                    and object_id not in self._mat_pending
-                ):
+                # The directory drops an object with its last copy.
+                if object_id not in copies and object_id not in self._mat_pending:
                     self._queue_materialization(object_id)
-                still_waiting.append(request)
                 continue
+            started.add(position)
             obj = self.catalog.get(object_id)
             n = obj.num_subobjects
             cluster.occupy(interval, n, "display", object_id)
@@ -484,9 +496,14 @@ class VirtualReplicationPolicy(StoragePolicy):
             self._push_event(
                 interval + n - 1, "display", cluster.index, (request, interval)
             )
+            if waiting_after is None:
+                waiting_after = Counter(r.object_id for r in queue)
             waiting_after[object_id] -= 1
             self._maybe_replicate(object_id, waiting_after[object_id], interval, n)
-        self._queue = still_waiting
+        if started:
+            self._queue = [
+                r for position, r in enumerate(queue) if position not in started
+            ]
 
     def _maybe_replicate(
         self, object_id: int, still_waiting: int, interval: int, duration: int

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.disk_manager import DiskManager
@@ -11,6 +13,7 @@ from repro.errors import ConfigurationError, LayoutError
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from tests.conftest import make_object
+from tests.media.test_fragment_counts import walk_fragment_counts
 
 
 @pytest.fixture
@@ -62,6 +65,50 @@ class TestPlacement:
         array = DiskArray(model=TABLE3_DISK, num_disks=4)
         with pytest.raises(ConfigurationError):
             DiskManager(array=array, stride=1, placement_alignment=0)
+
+
+@st.composite
+def placement_runs(draw):
+    """An array, a stride, a fragment size in cylinders, and objects
+    with start drives (``None``: the manager's round robin)."""
+    d = draw(st.integers(min_value=1, max_value=24))
+    stride = draw(st.integers(min_value=1, max_value=d))
+    cylinders = draw(st.integers(min_value=1, max_value=3))
+    objects = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=30),  # subobjects
+                st.integers(min_value=1, max_value=d),  # degree
+                st.one_of(st.none(), st.integers(min_value=0, max_value=2 * d)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    order = draw(st.permutations(range(len(objects))))
+    return d, stride, cylinders, objects, order
+
+
+class TestStorageConservation:
+    @given(placement_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_evicting_everything_returns_every_drive_to_zero(self, run):
+        d, stride, cylinders, objects, order = run
+        array = DiskArray(model=TABLE3_DISK, num_disks=d)
+        manager = DiskManager(
+            array=array, stride=stride, fragment_cylinders=cylinders
+        )
+        expected = [0] * d
+        for object_id, (n, m, start) in enumerate(objects):
+            manager.place_object(
+                make_object(object_id, num_subobjects=n, degree=m), start
+            )
+            walked = walk_fragment_counts(manager.layout, object_id)
+            expected = [e + w * cylinders for e, w in zip(expected, walked)]
+        assert manager.used_cylinder_profile() == expected
+        for object_id in order:
+            manager.evict_object(object_id)
+        assert manager.used_cylinder_profile() == [0.0] * d
 
 
 class TestValidationMode:

@@ -58,14 +58,21 @@ PERTURBATIONS = [
     ("rebuild_rate", 2),
     ("on_fault", "abort"),
     ("fail_at", ((3, 100),)),
-    # Open workload (repro.workload.arrivals): a cached closed run
-    # must never be served for an open one, and every arrival-shaping
-    # knob must fork the key.
-    ("arrival_rate", 0.05),
+    # Title popularity acts on closed runs too.  The arrival-shaping
+    # knobs only fork open keys: see OPEN_ONLY_PERTURBATIONS.
     ("zipf_s", 0.8),
+]
+
+#: Open-workload knobs a closed run never reads.  Each is normalised
+#: away on the closed base above and must fork an open base's key.
+OPEN_ONLY_PERTURBATIONS = [
+    ("arrival_rate", 0.07),
+    ("deadline_intervals", 10),
     ("mmpp_rates", (0.02, 0.08)),
     ("mmpp_sojourn", (120.0, 120.0)),
     ("diurnal_period", 900.0),
+    ("diurnal_amplitude", 0.4),
+    ("burst_at", 100),
     ("burst_duration", 5),
     ("burst_factor", 2.0),
     ("burst_hotspot", 0.25),
@@ -167,22 +174,30 @@ class TestPerturbationsChangeKey:
         assert len(digests) == 3
 
     def test_settings_without_effect_do_not_fork_the_key(self):
-        """VDR has no stride and a closed loop never blocks on a
-        deadline, so neither may change the key (or the sweep id).  An
-        open workload's deadline still forks it (PERTURBATIONS covers
-        the stride of striping)."""
+        """VDR has no stride and a closed loop reads no open-workload
+        knob, so none of them may change a closed key (or the sweep
+        id); each still forks an open one.  PERTURBATIONS covers the
+        stride of striping."""
         config = base_config()
         vdr = config.with_(technique="vdr")
         assert spec_digest(experiment_spec(vdr)) == spec_digest(
-            experiment_spec(vdr.with_(stride=3, deadline_intervals=10))
+            experiment_spec(vdr.with_(stride=3))
         )
-        assert spec_digest(experiment_spec(config)) == spec_digest(
-            experiment_spec(config.with_(deadline_intervals=10))
-        )
+        # A burst needs a duration; the diurnal amplitude needs a period.
+        companions = {"burst_at": {"burst_duration": 5},
+                      "diurnal_amplitude": {"diurnal_period": 900.0}}
         poisson = config.with_(arrival="poisson", arrival_rate=0.05)
-        assert spec_digest(experiment_spec(poisson)) != spec_digest(
-            experiment_spec(poisson.with_(deadline_intervals=10))
-        )
+        for field, value in OPEN_ONLY_PERTURBATIONS:
+            changes = {field: value, **companions.get(field, {})}
+            assert spec_digest(experiment_spec(config)) == spec_digest(
+                experiment_spec(config.with_(**changes))
+            ), field
+            assert spec_digest(experiment_spec(vdr)) == spec_digest(
+                experiment_spec(vdr.with_(**changes))
+            ), field
+            assert spec_digest(experiment_spec(poisson)) != spec_digest(
+                experiment_spec(poisson.with_(**changes))
+            ), field
 
     def test_sanitize_mode_is_excluded_from_the_key(self):
         """Sanitize only adds checks — all three modes must share one

@@ -48,6 +48,20 @@ def parse_figure8_output(text: str) -> List[Dict]:
     return rows
 
 
+def at_transcript_precision(rows: List[Dict]) -> List[Dict]:
+    """Rows as a transcript prints them: every float cut to the two
+    decimals of ``format_table``'s cells, so live ``figure8_rows()``
+    (which carry three for ``hit_rate`` and ``tertiary_util``) compare
+    equal to a parsed transcript."""
+    return [
+        {
+            key: float(f"{value:.2f}") if isinstance(value, float) else value
+            for key, value in row.items()
+        }
+        for row in rows
+    ]
+
+
 def parse_table4_output(text: str) -> List[Dict]:
     """Rows from a Table 4 transcript, in ``run_table4()`` shape."""
     rows: List[Dict] = []

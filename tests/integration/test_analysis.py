@@ -112,6 +112,12 @@ class TestSkew:
         assert disks_used_by_object(100, 1, 25, 4) == 28
         assert disks_used_by_object(100, 4, 25, 4) == 100
 
+    def test_stride_past_the_degree_skips_drives(self):
+        """k=10 > M=2: three subobjects touch drives 0-1, 10-11 and
+        20-21 — 6 drives, not the 22-drive span."""
+        assert disks_used_by_object(100, 10, 3, 2) == 6
+        assert skew_profile(100, 10, 3, 2)["disks_used"] == 6
+
     def test_perfect_balance_rule(self):
         # k=1 always satisfies the width condition.
         assert is_perfectly_balanced(100, 1, 200, 3)

@@ -121,6 +121,13 @@ class TestSection322Arithmetic:
         layout.place(make_object(num_subobjects=25, degree=4), start_disk=0)
         assert layout.disks_used(0) == 100
 
+    def test_disks_used_with_k_past_m_skips_drives(self):
+        """k=10 > M=2: the subobjects sit on drives 0-1, 10-11 and
+        20-21, so the object touches 6 drives, not its 22-drive span."""
+        layout = StripingLayout(num_disks=100, stride=10)
+        layout.place(make_object(num_subobjects=3, degree=2), start_disk=0)
+        assert layout.disks_used(0) == 6
+
     def test_residue_classes(self):
         assert StripingLayout(10, 4).residue_classes() == 5
         assert StripingLayout(10, 3).residue_classes() == 10
