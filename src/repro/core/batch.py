@@ -30,6 +30,22 @@ probed display, skipped or not.  (The CONTIGUOUS negative cache in
 :class:`~repro.core.admission.Admitter` sees fewer probes — that
 cache is pure acceleration state and never observable.)
 
+The scheduler also skips display-less entries, and the same argument
+covers them.  The scalar pass starts such an entry only if its
+object is resident and its degree fits the claim budget (FRAGMENTED;
+CONTIGUOUS has no budget).  Residency cannot change within a pass: it
+is gained only when a materialisation lands, which runs before the
+pass, and a queued entry pins its object, so it is never evicted.
+The budget is computed once per pass and only falls, by each started
+entry's degree.  So an entry on a non-resident object, or one whose
+degree exceeds the budget when the walk reaches it, is a no-op in the
+scalar pass, and skipping it is unobservable.  No probe moves the
+budget, so which ready entries start depends only on their own walk
+order: the scheduler picks them before the walk and then visits them
+and the True-verdict displays together, in the scalar pass's order.
+An interval with no True verdict and no ready entry within the budget
+walks nothing.
+
 Data layout — a persistent **lane table** rather than per-pass
 concatenation: three grow-only parallel arrays (``bases``, half
 demands, pending mask) hold one row per lane of every registered

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.display import Display
 from repro.core.virtual_disks import SlotPool
-from repro.errors import ConfigurationError, LayoutError
+from repro.errors import CapacityError, ConfigurationError, LayoutError
 from repro.hardware.disk_array import DiskArray
 from repro.media.catalog import Catalog
 from repro.media.layout import StripingLayout
@@ -85,16 +85,32 @@ class DiskManager:
         """Place ``obj`` on the drives; returns its start drive.
 
         Storage is charged per drive using the exact fragment counts
-        of the stride layout.
+        of the stride layout.  The place is all or nothing: when a
+        drive cannot hold its share (:class:`~repro.errors.
+        CapacityError`), the drives already charged are refunded and
+        the object is left unplaced.
         """
+        next_start = self._next_start
         if start_disk is None:
-            start_disk = self._next_start
+            start_disk = next_start
             self._next_start = (
-                self._next_start + self.placement_alignment
+                next_start + self.placement_alignment
             ) % self.array.num_disks
         self.layout.place(obj, start_disk)
-        for disk, cylinders in self._cylinders_per_disk(obj.object_id):
-            self.array.store(disk, cylinders)
+        charges = self._cylinders_per_disk(obj.object_id)
+        try:
+            for disk, cylinders in charges:
+                self.array.store(disk, cylinders)
+        except CapacityError:
+            # Charges run in drive order, so every drive before the
+            # one that overflowed was charged.
+            for charged, cylinders in charges:
+                if charged == disk:
+                    break
+                self.array.evict(charged, cylinders)
+            self.layout.remove(obj.object_id)
+            self._next_start = next_start
+            raise
         return start_disk % self.array.num_disks
 
     def evict_object(self, object_id: int) -> None:

@@ -20,7 +20,9 @@ stride 1 is classic staggered striping; any other stride is accepted
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -41,17 +43,23 @@ from repro.sim.monitor import Tally
 from repro.simulation.policy import Completion, Request, StoragePolicy
 
 
-@dataclass
+@dataclass(eq=False)
 class _QueueEntry:
     """One waiting (or partially admitted) request."""
 
     request: Request
+    #: The object's degree (fixed per object): the claim-budget test
+    #: and the sjf/largest_first walk order read it.
+    degree: int
     display: Optional[Display] = None
     deferred_placement: bool = False
-    #: Cached object degree for the sjf/largest_first sort keys (an
-    #: object's degree never changes; saves a catalog lookup per entry
-    #: per interval while queued).
-    degree: Optional[int] = None
+    #: Queue-order key, assigned on enqueue: arrivals take increasing
+    #: keys and front re-inserts decreasing ones, so the queue is in
+    #: ascending key order.
+    key: int = 0
+
+
+_entry_key = attrgetter("key")
 
 
 class StaggeredStripingPolicy(StoragePolicy):
@@ -164,6 +172,13 @@ class StaggeredStripingPolicy(StoragePolicy):
                 disk_manager.pool, self.admitter.mode
             )
             self._admission_pass = self._admission_pass_batched
+            # The walk order of the candidate pass (the scalar pass's
+            # order: sjf/largest_first sort stably by degree).
+            self._walk_key = {
+                "scan": _entry_key,
+                "sjf": lambda entry: (entry.degree, entry.key),
+                "largest_first": lambda entry: (-entry.degree, entry.key),
+            }[queue_discipline]
             # The display-having queue entries, maintained between
             # passes as parallel display-id / segment-position lists
             # (order is irrelevant — they only feed attempt counts and
@@ -188,7 +203,27 @@ class StaggeredStripingPolicy(StoragePolicy):
         # a bare request), so nothing else moves the count.  The
         # sanitizer cross-checks it against a recount every interval.
         self._queued_pending_lanes = 0
-        self._queue: List[_QueueEntry] = []
+        # The admission queue, key -> entry in queue order.  A dict
+        # keeps insertion order, so appends stay ordered and a front
+        # re-insert (reposition, fault abort — rare) rebuilds it;
+        # admission and cancellation delete in O(1).
+        self._queue: Dict[int, _QueueEntry] = {}
+        self._next_key = 0
+        self._front_key = 0
+        # Candidate state, kept by _enqueue/_dequeue and the residency
+        # and display transitions (invariants in DESIGN.md; recounted
+        # by verify_invariants):
+        # * display id -> its queued entry;
+        self._by_display: Dict[int, _QueueEntry] = {}
+        # * display-less entries whose object is not resident, by
+        #   object (woken when its materialisation lands);
+        self._waiting: Dict[int, List[_QueueEntry]] = {}
+        # * display-less entries whose object is resident, by degree,
+        #   each list in key order (no empty lists, so min() of the
+        #   keys is the smallest degree that could start);
+        self._ready: Dict[int, List[_QueueEntry]] = {}
+        # * entries whose placement was deferred, by key.
+        self._deferred: Dict[int, _QueueEntry] = {}
         self._active: Dict[int, Display] = {}
         self._display_request: Dict[int, Request] = {}
         self._cancelled: Set[int] = set()
@@ -244,7 +279,7 @@ class StaggeredStripingPolicy(StoragePolicy):
                     f"preload overflows disk capacity at object {object_id}"
                 )
             self.disk_manager.place_object(obj)
-            self.object_manager.add_resident(object_id)
+            self._mark_resident(object_id)
 
     def submit(self, request: Request, interval: int) -> None:
         """A request enters: record access, start a materialisation on
@@ -257,7 +292,17 @@ class StaggeredStripingPolicy(StoragePolicy):
             entry.deferred_placement = not self._start_materialization(
                 obj, interval
             )
-        self._queue.append(entry)
+        self._enqueue(entry)
+
+    def requeue_front(self, request: Request) -> None:
+        """Put ``request`` back at the head of the queue, display-less.
+
+        A fault abort restarts the display from its beginning once
+        re-admitted.  The request keeps the object pin it took on
+        :meth:`submit`.
+        """
+        degree = self.catalog.get(request.object_id).degree
+        self._enqueue(_QueueEntry(request=request, degree=degree), front=True)
 
     def try_cancel(self, request: Request, interval: int) -> bool:
         """Withdraw ``request`` if it is still waiting for admission.
@@ -272,12 +317,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         materialisation is deliberately left running: the title still
         lands on disk for future arrivals.
         """
-        for index, entry in enumerate(self._queue):
+        for entry in self._queue.values():
             if entry.request.request_id == request.request_id:
                 break
         else:
             return False
-        del self._queue[index]
+        self._dequeue(entry)
         display = entry.display
         if display is not None:
             self._queued_pending_lanes -= display.pending_lane_count
@@ -445,7 +490,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         )
         reserved = sum(
             entry.display.pending_lane_count
-            for entry in self._queue
+            for entry in self._queue.values()
             if entry.display is not None
         )
         sanitizer.expect(
@@ -454,14 +499,11 @@ class StaggeredStripingPolicy(StoragePolicy):
             f"queued pending-lane count drifted in interval {interval}: "
             f"running {self._queued_pending_lanes} != recount {reserved}",
         )
+        self._verify_candidate_state(sanitizer, interval)
         if self._batch_index is not None:
             self._batch_index.verify_invariants(sanitizer, interval)
             if not self._batch_dirty:
-                queued_ids = sorted(
-                    entry.display.display_id
-                    for entry in self._queue
-                    if entry.display is not None
-                )
+                queued_ids = sorted(self._by_display)
                 sanitizer.expect(
                     sorted(self._batch_ids) == queued_ids,
                     "batch_index",
@@ -511,6 +553,57 @@ class StaggeredStripingPolicy(StoragePolicy):
                 f"queued after interval {interval}",
             )
 
+    def _verify_candidate_state(self, sanitizer, interval: int) -> None:
+        """Recount the candidate state from the queue itself."""
+        keys = list(self._queue)
+        sanitizer.expect(
+            all(a < b for a, b in zip(keys, keys[1:]))
+            and all(entry.key == key for key, entry in self._queue.items()),
+            "candidate_state",
+            f"queue keys out of order in interval {interval}",
+        )
+        by_display: Dict[int, _QueueEntry] = {}
+        ready: Dict[int, List[_QueueEntry]] = {}
+        waiting: Dict[int, List[_QueueEntry]] = {}
+        for entry in self._queue.values():
+            object_id = entry.request.object_id
+            if entry.display is not None:
+                by_display[entry.display.display_id] = entry
+            elif self.object_manager.is_resident(object_id):
+                ready.setdefault(entry.degree, []).append(entry)
+            else:
+                waiting.setdefault(object_id, []).append(entry)
+        sanitizer.expect(
+            by_display == self._by_display,
+            "candidate_state",
+            f"display -> entry map drifted in interval {interval}",
+        )
+        # Queue iteration is key order, so the recounted ready lists
+        # come out key-sorted, as the maintained ones must be.
+        sanitizer.expect(
+            ready == self._ready,
+            "candidate_state",
+            f"ready set drifted in interval {interval}",
+        )
+        sanitizer.expect(
+            {o: sorted(e, key=_entry_key) for o, e in waiting.items()}
+            == {
+                o: sorted(e, key=_entry_key)
+                for o, e in self._waiting.items()
+            },
+            "candidate_state",
+            f"waiting set drifted in interval {interval}",
+        )
+        sanitizer.expect(
+            {
+                key: entry for key, entry in self._queue.items()
+                if entry.deferred_placement
+            }
+            == self._deferred,
+            "candidate_state",
+            f"deferred-placement list drifted in interval {interval}",
+        )
+
     # ------------------------------------------------------------------
     # Rewind / fast-forward support (§3.2.5)
     # ------------------------------------------------------------------
@@ -557,9 +650,86 @@ class StaggeredStripingPolicy(StoragePolicy):
             fragment_size=obj.fragment_size,
         )
         replacement = self._new_display(tail, plan.target_start_disk, original)
-        self._queue.insert(0, _QueueEntry(request=original, display=replacement))
+        self._enqueue(
+            _QueueEntry(request=original, degree=obj.degree, display=replacement),
+            front=True,
+        )
         self._queued_pending_lanes += len(replacement.lanes)
         return replacement
+
+    # ------------------------------------------------------------------
+    # Queue and candidate state
+    # ------------------------------------------------------------------
+    def _enqueue(self, entry: _QueueEntry, front: bool = False) -> None:
+        """Add ``entry`` at the tail (or the head) of the queue and
+        file it in the candidate state."""
+        if front:
+            self._front_key -= 1
+            entry.key = self._front_key
+            self._queue = {entry.key: entry, **self._queue}
+        else:
+            entry.key = self._next_key
+            self._next_key += 1
+            self._queue[entry.key] = entry
+        if entry.display is not None:
+            self._by_display[entry.display.display_id] = entry
+        elif self.object_manager.is_resident(entry.request.object_id):
+            insort(self._ready.setdefault(entry.degree, []), entry, key=_entry_key)
+        else:
+            self._waiting.setdefault(entry.request.object_id, []).append(entry)
+        if entry.deferred_placement:
+            self._deferred[entry.key] = entry
+
+    def _dequeue(self, entry: _QueueEntry) -> None:
+        """Remove ``entry`` (admitted or cancelled) from the queue and
+        the candidate state."""
+        del self._queue[entry.key]
+        self._deferred.pop(entry.key, None)
+        if entry.display is not None:
+            del self._by_display[entry.display.display_id]
+        elif self.object_manager.is_resident(entry.request.object_id):
+            self._unready(entry)
+        else:
+            waiting = self._waiting[entry.request.object_id]
+            waiting.remove(entry)
+            if not waiting:
+                del self._waiting[entry.request.object_id]
+
+    def _unready(self, entry: _QueueEntry) -> None:
+        ready = self._ready[entry.degree]
+        i = bisect_left(ready, entry.key, key=_entry_key)
+        if i == len(ready) or ready[i] is not entry:
+            raise SchedulingError(
+                f"request {entry.request.request_id} missing from the "
+                "ready set"
+            )
+        del ready[i]
+        if not ready:
+            del self._ready[entry.degree]
+
+    def _mark_resident(self, object_id: int) -> None:
+        """Make ``object_id`` resident and wake its waiting entries.
+
+        A queued entry pins its object and pinned objects are never
+        evicted, so this is the only way a queued entry's residency
+        changes.
+        """
+        self.object_manager.add_resident(object_id)
+        for entry in self._waiting.pop(object_id, ()):
+            insort(self._ready.setdefault(entry.degree, []), entry, key=_entry_key)
+
+    def _attach_display(self, entry: _QueueEntry, obj: MediaObject) -> Display:
+        """Give a ready entry its display (it begins to claim)."""
+        start = self.disk_manager.start_disk(obj.object_id)
+        display = entry.display = self._new_display(obj, start, entry.request)
+        self._queued_pending_lanes += len(display.lanes)
+        self._unready(entry)
+        self._by_display[display.display_id] = entry
+        if self._batch_index is not None:
+            self._batch_ids.append(display.display_id)
+            self._batch_positions.append(self._batch_index.add_display(display))
+            self._batch_gather_np = None
+        return display
 
     # ------------------------------------------------------------------
     # Internals
@@ -605,15 +775,20 @@ class StaggeredStripingPolicy(StoragePolicy):
         return True
 
     def _retry_deferred_placements(self, interval: int) -> None:
-        for entry in self._queue:
-            if entry.deferred_placement:
-                obj = self.catalog.get(entry.request.object_id)
-                if self._materialization_pending(obj.object_id):
-                    entry.deferred_placement = False
-                else:
-                    entry.deferred_placement = not self._start_materialization(
-                        obj, interval
-                    )
+        """Retry the deferred placements, in queue order."""
+        if not self._deferred:
+            return
+        for key in sorted(self._deferred):
+            entry = self._deferred[key]
+            obj = self.catalog.get(entry.request.object_id)
+            if self._materialization_pending(obj.object_id):
+                entry.deferred_placement = False
+            else:
+                entry.deferred_placement = not self._start_materialization(
+                    obj, interval
+                )
+            if not entry.deferred_placement:
+                del self._deferred[key]
 
     def _process_tertiary(self, interval: int) -> None:
         tm = self.tertiary_manager
@@ -623,28 +798,24 @@ class StaggeredStripingPolicy(StoragePolicy):
             interval, self.disk_manager.pool, self.disk_manager.start_disk
         )
         for object_id in finished:
-            self.object_manager.add_resident(object_id)
+            self._mark_resident(object_id)
             if self.event_log is not None:
                 self.event_log.record(
                     interval, "materialize_done", object=object_id
                 )
 
-    def _entry_degree(self, entry: _QueueEntry) -> int:
-        if entry.degree is None:
-            entry.degree = self.catalog.get(entry.request.object_id).degree
-        return entry.degree
-
-    def _scan_order(self) -> List[_QueueEntry]:
+    def _scan_order(self):
         """The queue in the configured walk order (the stored queue
-        itself always stays in arrival order)."""
+        itself always stays in queue order)."""
+        queue = self._queue.values()
         if self.queue_discipline == "sjf":
-            return sorted(self._queue, key=self._entry_degree)
+            return sorted(queue, key=attrgetter("degree"))
         if self.queue_discipline == "largest_first":
-            return sorted(self._queue, key=lambda e: -self._entry_degree(e))
-        return self._queue
+            return sorted(queue, key=lambda e: -e.degree)
+        return queue
 
     def _admission_pass(self, interval: int) -> None:
-        admitted: Set[int] = set()
+        admitted: List[_QueueEntry] = []
         blocked = False
         attempts = 0
         budget = self._claim_budget()
@@ -667,42 +838,37 @@ class StaggeredStripingPolicy(StoragePolicy):
                             blocked = True
                         continue
                     budget -= obj.degree
-                start = self.disk_manager.start_disk(entry.request.object_id)
-                entry.display = self._new_display(obj, start, entry.request)
-                self._queued_pending_lanes += len(entry.display.lanes)
+                self._attach_display(entry, obj)
             attempts += 1
             plan = self.admitter.try_claim(entry.display, interval)
             if plan.claimed_now:
                 self._queued_pending_lanes -= len(plan.claimed_now)
             if plan.complete:
                 self._activate(entry.display)
-                admitted.add(id(entry))
+                admitted.append(entry)
             elif self.queue_discipline == "fcfs":
                 blocked = True
         if attempts and self.obs is not None:
             # Batched once per pass; a local add per attempt keeps the
             # claim loop free of per-call instrument traffic.
             self.admitter.count_attempts(attempts)
-        if admitted:
-            # The stored queue keeps arrival order regardless of the
-            # walk order the discipline used.
-            self._queue = [e for e in self._queue if id(e) not in admitted]
+        # The stored queue keeps queue order regardless of the walk
+        # order the discipline used.
+        for entry in admitted:
+            self._dequeue(entry)
 
     def _batch_rebuild(self) -> None:
         """Re-derive the maintained display-id / segment-position lists
-        from the stored queue (after a cancel, reposition, fault
+        from the queued displays (after a cancel, reposition, fault
         abort, or index compaction)."""
         index = self._batch_index
         ids: List[int] = []
         positions: List[int] = []
-        for entry in self._queue:
-            display = entry.display
-            if display is None:
-                continue
-            position = index.position(display.display_id)
+        for display_id, entry in self._by_display.items():
+            position = index.position(display_id)
             if position is None:
-                position = index.add_display(display)
-            ids.append(display.display_id)
+                position = index.add_display(entry.display)
+            ids.append(display_id)
             positions.append(position)
         self._batch_ids = ids
         self._batch_positions = positions
@@ -727,27 +893,29 @@ class StaggeredStripingPolicy(StoragePolicy):
         return {ids[i] for i in np.flatnonzero(ok).tolist()}
 
     def _admission_pass_batched(self, interval: int) -> None:
-        """:meth:`_admission_pass` with vectorised claim verdicts.
+        """:meth:`_admission_pass` walking only the entries that can act.
 
         Byte-identical to the scalar pass (see the equivalence
-        argument in :mod:`repro.core.batch`): a False verdict proves
-        the display's scalar probe would claim nothing this pass, so
-        it is skipped — but still counted as an attempt; a True
-        verdict (and any display created during this pass) takes the
-        scalar claim path unchanged.  After any successful claim the
-        verdicts are recomputed before the next probe, so stale True
-        verdicts never trigger doomed probes.
+        argument in :mod:`repro.core.batch`).  The walk visits, in the
+        scalar pass's order, two kinds of candidate:
 
-        Two whole-pass fast-outs need no walk at all.  Every
-        display-having queue entry's object is pinned (submit pins,
-        completion/cancel unpin) and the object manager never evicts a
-        pinned object, so the scalar pass's per-entry residency check
-        is True for all of them and the pass reduces to attempt
-        accounting when (a) the pool is saturated — the scalar pass
-        would deny every display on its one-integer fast-out and the
-        claim budget (0 free minus reserved) blocks every creation —
-        or (b) every verdict is False and no creation is possible
-        (nothing display-less, or no budget).
+        * displays whose pre-pass verdict is True.  A False verdict
+          proves the scalar probe would claim nothing this pass, so
+          the display is skipped — but still counted as an attempt.
+          After any successful claim the verdicts are recomputed
+          before the next probe, so stale True verdicts never trigger
+          doomed probes;
+        * the ready (display-less, resident) entries that the scalar
+          pass's claim-budget test lets start, chosen up front by
+          :meth:`_ready_takers`: no probe changes the budget, so the
+          takers do not depend on the probes between them.
+
+        Every other entry is one the scalar pass visits to no effect:
+        a display-less entry on a non-resident object, or one over
+        the budget.  Display-having entries are always resident (their
+        object is pinned, and pinned objects are never evicted).  So
+        an interval where nothing can claim and no ready entry fits
+        the budget costs no walk at all.
         """
         index = self._batch_index
         if self._batch_dirty or self._batch_generation != index.generation:
@@ -756,52 +924,39 @@ class StaggeredStripingPolicy(StoragePolicy):
         pool = self.disk_manager.pool
         fragmented = self.admitter.mode is AdmissionMode.FRAGMENTED
         if fragmented and not pool._free_half_total:
+            # Saturated: every probe is denied, and the budget (0 free
+            # minus reserved) starts no display.
             if n_displays and self.obs is not None:
                 self.admitter.count_attempts(n_displays)
             return
         budget = self._claim_budget()
+        ready = self._ready
+        takers: List[_QueueEntry] = []
+        if ready and (budget is None or budget >= min(ready)):
+            takers = self._ready_takers(budget)
         keep: Optional[Set[int]] = None
         if n_displays:
             keep = self._batch_keep_ids(interval)
-        if keep is None:
-            displayless = len(self._queue) - n_displays
-            if displayless == 0 or (budget is not None and budget <= 0):
-                if n_displays and self.obs is not None:
-                    self.admitter.count_attempts(n_displays)
-                return
-        admitted: Set[int] = set()
-        admitted_ids: List[int] = []
+        if keep is None and not takers:
+            if n_displays and self.obs is not None:
+                self.admitter.count_attempts(n_displays)
+            return
+        walk = takers
+        if keep is not None:
+            by_display = self._by_display
+            walk = sorted(
+                [by_display[display_id] for display_id in keep] + takers,
+                key=self._walk_key,
+            )
+        admitted: List[_QueueEntry] = []
         attempts = n_displays
         stale = False
-        for entry in self._scan_order():
+        for entry in walk:
             display = entry.display
             if display is None:
-                # The budget test runs on the cached degree before the
-                # residency lookup — both are pure checks, so the swap
-                # (vs the scalar pass) is unobservable, and it makes
-                # the common budget-blocked entry one int compare.
-                if budget is not None:
-                    degree = entry.degree
-                    if degree is None:
-                        degree = self._entry_degree(entry)
-                    if degree > budget:
-                        # Anti-hoarding rule — see _admission_pass.
-                        continue
-                if not self.object_manager.is_resident(
-                    entry.request.object_id
-                ):
-                    continue
-                obj = self.catalog.get(entry.request.object_id)
-                if budget is not None:
-                    budget -= obj.degree
-                start = self.disk_manager.start_disk(entry.request.object_id)
-                display = entry.display = self._new_display(
-                    obj, start, entry.request
+                display = self._attach_display(
+                    entry, self.catalog.get(entry.request.object_id)
                 )
-                self._queued_pending_lanes += len(display.lanes)
-                self._batch_ids.append(display.display_id)
-                self._batch_positions.append(index.add_display(display))
-                self._batch_gather_np = None
                 attempts += 1
                 # A display created this pass is probed directly — it
                 # has no pre-pass verdict.
@@ -820,14 +975,16 @@ class StaggeredStripingPolicy(StoragePolicy):
                 stale = True
             if plan.complete:
                 self._activate(display)
-                admitted.add(id(entry))
-                admitted_ids.append(display.display_id)
+                admitted.append(entry)
         if attempts and self.obs is not None:
             self.admitter.count_attempts(attempts)
         if admitted:
-            self._queue = [e for e in self._queue if id(e) not in admitted]
             # Order of the maintained lists is irrelevant, so admitted
             # displays are swap-removed in place.
+            admitted_ids = []
+            for entry in admitted:
+                self._dequeue(entry)
+                admitted_ids.append(entry.display.display_id)
             gone = set(admitted_ids)
             ids = self._batch_ids
             positions = self._batch_positions
@@ -850,6 +1007,51 @@ class StaggeredStripingPolicy(StoragePolicy):
                 # Compaction renumbered the segments; the cached
                 # positions die with the old generation.
                 self._batch_dirty = True
+
+    def _ready_takers(self, budget: Optional[int]) -> List[_QueueEntry]:
+        """The ready entries the scalar pass would give a display this
+        pass, in its walk order.
+
+        The scalar pass starts a display-less resident entry when its
+        degree fits the remaining budget (every fits with no budget),
+        then charges the budget.  The budget only falls, so once one
+        entry of a degree no longer fits, no later one of that degree
+        does: each degree's ready list is taken as a prefix.
+        """
+        ready = self._ready
+        taken: List[_QueueEntry] = []
+        if self.queue_discipline != "scan":
+            # sjf / largest_first walk whole degree classes in turn.
+            for degree in sorted(
+                ready, reverse=self.queue_discipline == "largest_first"
+            ):
+                entries = ready[degree]
+                if budget is None:
+                    taken.extend(entries)
+                    continue
+                n = min(len(entries), budget // degree)
+                taken.extend(entries[:n])
+                budget -= n * degree
+            return taken
+        # scan: merge the degree lists by key, dropping a degree once
+        # it no longer fits.
+        heads = [
+            (entries[0].key, degree, 0)
+            for degree, entries in ready.items()
+            if budget is None or degree <= budget
+        ]
+        heapq.heapify(heads)
+        while heads:
+            _key, degree, i = heapq.heappop(heads)
+            if budget is not None:
+                if degree > budget:
+                    continue
+                budget -= degree
+            entries = ready[degree]
+            taken.append(entries[i])
+            if i + 1 < len(entries):
+                heapq.heappush(heads, (entries[i + 1].key, degree, i + 1))
+        return taken
 
     def _claim_budget(self) -> Optional[int]:
         """Virtual disks available for *new* claimants (FRAGMENTED only).

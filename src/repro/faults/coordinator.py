@@ -298,13 +298,11 @@ class FaultCoordinator(_CoordinatorBase):
         dropping it would stall the station forever — the redisplay
         starts from the beginning once re-admitted (the viewer sees a
         restart, not a freeze)."""
-        from repro.core.scheduler import _QueueEntry
-
         policy = self.policy
         request = policy._display_request.get(display.display_id)
         policy._cancel_display(display)
         if request is not None:
-            policy._queue.insert(0, _QueueEntry(request=request))
+            policy.requeue_front(request)
         self.aborts += 1
         if policy.event_log is not None:
             policy.event_log.record(
@@ -500,7 +498,7 @@ class ClusterFaultCoordinator(_CoordinatorBase):
                 continue
             policy._cancelled_seqs.add(seq)
             request, _deliver_start = payload
-            policy._queue.insert(0, request)
+            policy.requeue_front(request)
             self.aborts += 1
             if policy.event_log is not None:
                 policy.event_log.record(

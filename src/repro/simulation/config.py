@@ -258,13 +258,18 @@ class SimulationConfig:
         # Settings a run cannot see must not fork the cache key: VDR
         # has no stride, and a closed loop has no arrival rate, no
         # traffic shaping and never blocks on a deadline (zipf_s still
-        # picks its titles).  Grids derive such cells from a shared
-        # base with with_(), so these are dropped, not rejected.
+        # picks its titles); an open source reads only its own rate
+        # knobs.  Grids derive such cells from a shared base with
+        # with_(), so these are dropped, not rejected.
         if self.technique == "vdr":
             object.__setattr__(self, "stride", None)
         if self.arrival == "closed":
             for name, default in _OPEN_ONLY_DEFAULTS.items():
                 object.__setattr__(self, name, default)
+        else:
+            unread = "mmpp" if self.arrival == "poisson" else "poisson"
+            for name in _SOURCE_ONLY[unread]:
+                object.__setattr__(self, name, _OPEN_ONLY_DEFAULTS[name])
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -394,6 +399,12 @@ _OPEN_ONLY_DEFAULTS = {
     for f in fields(SimulationConfig)
     if f.name in ("arrival_rate", "deadline_intervals")
     or f.name.startswith(("mmpp_", "diurnal_", "burst_"))
+}
+
+#: The rate knobs only one open source reads (see build_arrivals).
+_SOURCE_ONLY = {
+    "poisson": ("arrival_rate",),
+    "mmpp": ("mmpp_rates", "mmpp_sojourn"),
 }
 
 

@@ -8,6 +8,18 @@ from typing import Dict, List, Optional, Set
 from repro.errors import CapacityError, ConfigurationError
 
 
+class ActivityCounts:
+    """Clusters busy with any activity, and with a display: kept by
+    :meth:`Cluster.occupy` / :meth:`Cluster.finish` so a utilization
+    sample needs no scan over the clusters."""
+
+    __slots__ = ("busy", "displays")
+
+    def __init__(self) -> None:
+        self.busy = 0
+        self.displays = 0
+
+
 @dataclass
 class Cluster:
     """One physical cluster of ``M`` drives.
@@ -30,6 +42,11 @@ class Cluster:
     #: False while a member drive is down with no redundancy to cover
     #: it (see repro.faults) — the cluster can start nothing.
     available: bool = True
+    #: The array-wide counts this cluster's activity feeds (None for
+    #: a cluster outside a :class:`ClusterArray`).
+    counts: Optional[ActivityCounts] = field(
+        default=None, repr=False, compare=False
+    )
 
     def is_free(self, interval: int) -> bool:
         """True when the cluster can start a new activity."""
@@ -52,13 +69,24 @@ class Cluster:
         if duration < 1:
             raise ConfigurationError(f"duration must be >= 1, got {duration}")
         self.busy_until = interval + duration
-        self.activity = activity
+        self._set_activity(activity)
         self.active_object = object_id
 
     def finish(self) -> None:
         """Clear the activity (called when ``busy_until`` passes)."""
-        self.activity = None
+        self._set_activity(None)
         self.active_object = None
+
+    def _set_activity(self, activity: Optional[str]) -> None:
+        # The previous activity may be a voided one (a fault cancels
+        # an incoming copy without finishing the cluster), so the
+        # counts move by the transition, not by the new value alone.
+        counts = self.counts
+        if counts is not None:
+            old = self.activity
+            counts.busy += (activity is not None) - (old is not None)
+            counts.displays += (activity == "display") - (old == "display")
+        self.activity = activity
 
 
 class ClusterArray:
@@ -80,12 +108,14 @@ class ClusterArray:
                 f"capacity_objects must be >= 1, got {capacity_objects}"
             )
         self.degree = degree
+        self.counts = ActivityCounts()
         self.clusters: List[Cluster] = [
             Cluster(
                 index=i,
                 first_disk=i * degree,
                 num_disks=degree,
                 capacity_objects=capacity_objects,
+                counts=self.counts,
             )
             for i in range(num_disks // degree)
         ]

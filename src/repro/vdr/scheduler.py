@@ -181,6 +181,11 @@ class VirtualReplicationPolicy(StoragePolicy):
             self._queue_materialization(object_id)
         self._queue.append(request)
 
+    def requeue_front(self, request: Request) -> None:
+        """Put ``request`` back at the head of the queue (a fault
+        abort; it keeps the pin it took on :meth:`submit`)."""
+        self._queue.insert(0, request)
+
     def try_cancel(self, request: Request, interval: int) -> bool:
         """Withdraw ``request`` if it is still queued for a cluster.
 
@@ -298,6 +303,16 @@ class VirtualReplicationPolicy(StoragePolicy):
                     f"missing from the copy directory (interval "
                     f"{interval})",
                 )
+        busy = sum(1 for c in clusters if c.activity is not None)
+        displays = sum(1 for c in clusters if c.activity == "display")
+        counts = self.clusters.counts
+        sanitizer.expect(
+            (counts.busy, counts.displays) == (busy, displays),
+            "cluster_counts",
+            f"cluster activity counts drifted in interval {interval}: "
+            f"running busy={counts.busy} displays={counts.displays} != "
+            f"recount busy={busy} displays={displays}",
+        )
         # Event-time monotonicity: every live (non-cancelled) event
         # due at or before this interval must have been retired.
         for time, seq, kind, cluster_index, _payload in self._events:
@@ -321,16 +336,10 @@ class VirtualReplicationPolicy(StoragePolicy):
         """Active displays and fraction of clusters busy right now."""
         from repro.simulation.policy import UtilizationSample
 
-        active = 0
-        busy = 0
-        for cluster in self.clusters.clusters:
-            if cluster.activity is not None:
-                busy += 1
-                if cluster.activity == "display":
-                    active += 1
+        counts = self.clusters.counts
         return UtilizationSample(
-            active_displays=active,
-            busy_fraction=busy / len(self.clusters.clusters),
+            active_displays=counts.displays,
+            busy_fraction=counts.busy / len(self.clusters.clusters),
         )
 
     def stats(self) -> Dict[str, float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.disk_manager import DiskManager
 from repro.core.display import Display
-from repro.errors import ConfigurationError, LayoutError
+from repro.errors import CapacityError, ConfigurationError, LayoutError
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from tests.conftest import make_object
@@ -109,6 +111,29 @@ class TestStorageConservation:
         for object_id in order:
             manager.evict_object(object_id)
         assert manager.used_cylinder_profile() == [0.0] * d
+
+
+class TestFailedPlaceIsRolledBack:
+    def test_overflow_leaves_the_object_unplaced_and_the_drives_empty(self):
+        """A place that overflows a drive part-way through charging is
+        undone: nothing stays placed or charged, so a later evict
+        cannot underflow and a place that fits still succeeds."""
+        model = dataclasses.replace(TABLE3_DISK, num_cylinders=4)
+        manager = DiskManager(
+            array=DiskArray(model=model, num_disks=4), stride=1
+        )
+        # M = 1 from drive 1: drive 1 needs 5 cylinders, drive 0
+        # (charged first, in drive order) 4.
+        too_big = make_object(0, num_subobjects=17, degree=1)
+        with pytest.raises(CapacityError):
+            manager.place_object(too_big, start_disk=1)
+        assert not manager.is_placed(0)
+        assert manager.used_cylinder_profile() == [0, 0, 0, 0]
+        with pytest.raises(LayoutError):
+            manager.evict_object(0)
+        fits = make_object(1, num_subobjects=16, degree=1)
+        assert manager.place_object(fits) == 0
+        assert manager.used_cylinder_profile() == [4, 4, 4, 4]
 
 
 class TestValidationMode:

@@ -176,8 +176,8 @@ class TestPerturbationsChangeKey:
     def test_settings_without_effect_do_not_fork_the_key(self):
         """VDR has no stride and a closed loop reads no open-workload
         knob, so none of them may change a closed key (or the sweep
-        id); each still forks an open one.  PERTURBATIONS covers the
-        stride of striping."""
+        id); each still forks the key of an open source that reads it.
+        PERTURBATIONS covers the stride of striping."""
         config = base_config()
         vdr = config.with_(technique="vdr")
         assert spec_digest(experiment_spec(vdr)) == spec_digest(
@@ -195,9 +195,33 @@ class TestPerturbationsChangeKey:
             assert spec_digest(experiment_spec(vdr)) == spec_digest(
                 experiment_spec(vdr.with_(**changes))
             ), field
+            if field.startswith("mmpp_"):
+                continue  # a poisson source reads no MMPP knob
             assert spec_digest(experiment_spec(poisson)) != spec_digest(
                 experiment_spec(poisson.with_(**changes))
             ), field
+        # An open source reads only its own rate knobs: the other
+        # source's leave its key (striping and VDR alike) unchanged,
+        # and fork the key of the source that reads them.
+        mmpp = config.with_(
+            arrival="mmpp", mmpp_rates=(0.02, 0.08),
+            mmpp_sojourn=(100.0, 100.0),
+        )
+        reader = {"poisson": mmpp, "mmpp": poisson}
+        unread = [
+            (poisson, "mmpp_rates", (0.5, 0.9)),
+            (poisson, "mmpp_sojourn", (7.0, 9.0)),
+            (mmpp, "arrival_rate", 0.3),
+        ]
+        for source, field, value in unread:
+            for cell in (source, source.with_(technique="vdr")):
+                assert spec_digest(experiment_spec(cell)) == spec_digest(
+                    experiment_spec(cell.with_(**{field: value}))
+                ), (cell.arrival, field)
+            other = reader[source.arrival]
+            assert spec_digest(experiment_spec(other)) != spec_digest(
+                experiment_spec(other.with_(**{field: value}))
+            ), (other.arrival, field)
 
     def test_sanitize_mode_is_excluded_from_the_key(self):
         """Sanitize only adds checks — all three modes must share one
